@@ -1,12 +1,17 @@
 // bench_tierup: startup-to-steady-state crossover of the tiered engine.
 //
-// The four static tiers force a global choice on the Table-1 trade-off
-// curve: instant startup (interp) or peak throughput (optimizing). Tiered
+// The static tiers force a global choice on the Table-1 trade-off curve:
+// instant startup (interp) or peak throughput (optimizing / jit). Tiered
 // mode should deliver both ends at once on a per-function basis:
 //   - time-to-first-result within ~2x of the interpreter (compile() only
 //     predecodes), and
 //   - steady-state throughput >= 90% of the optimizing tier (hot functions
 //     get promoted to the same optimized regcode).
+// Section 2 runs whole NPB kernels, whose _start is entered once per rank
+// and spends its life in loops: call counts never promote it, so tiered
+// mode at its default thresholds reaches the top tier through loop-header
+// OSR (promoted_osr column). Gate: tiered(default) NPB-IS wall time within
+// 2x of optimizing — the binary exits non-zero otherwise.
 // Section 3 shows per-function cache warm-start: a second execution of the
 // same module serves its promotions from (hash, func index, tier) cache
 // entries instead of recompiling.
@@ -119,8 +124,10 @@ void micro_crossover() {
               interp_ttfr > 0 ? t.ttfr_ms / interp_ttfr : 0.0);
 }
 
-void npb_crossover() {
-  print_subhead("NPB kernels (2 ranks): wall time by tier");
+/// Returns false when tiered(default) NPB-IS takes more than 2x the
+/// optimizing tier's wall time.
+bool npb_crossover() {
+  print_subhead("NPB kernels (2 ranks): wall time by tier (best of 3)");
   struct Cfg {
     std::string name;
     rt::EngineConfig engine;
@@ -128,7 +135,8 @@ void npb_crossover() {
   std::vector<Cfg> cfgs;
   for (rt::EngineTier tier :
        {rt::EngineTier::kInterp, rt::EngineTier::kBaseline,
-        rt::EngineTier::kLightOpt, rt::EngineTier::kOptimizing}) {
+        rt::EngineTier::kLightOpt, rt::EngineTier::kOptimizing,
+        rt::EngineTier::kJit}) {
     rt::EngineConfig engine;
     engine.tier = tier;
     cfgs.push_back({rt::tier_name(tier), engine});
@@ -138,6 +146,9 @@ void npb_crossover() {
   tiered.tierup_baseline_threshold = 2;
   tiered.tierup_opt_threshold = 8;
   cfgs.push_back({"tiered(2,8)", tiered});
+  rt::EngineConfig tiered_default;
+  tiered_default.tier = rt::EngineTier::kTiered;
+  cfgs.push_back({"tiered(default)", tiered_default});
 
   toolchain::IsParams is;
   is.keys_per_rank = 1 << 12;
@@ -154,26 +165,44 @@ void npb_crossover() {
   kernels.push_back({"NPB-IS", toolchain::build_is_module(is)});
   kernels.push_back({"NPB-DT", toolchain::build_dt_module(dt)});
 
-  std::printf("%-8s %-14s %12s %12s %14s %14s\n", "kernel", "tier",
-              "compile ms", "wall s", "promoted b/o", "tierup ms");
+  std::printf("%-8s %-16s %12s %12s %14s %6s %12s\n", "kernel", "tier",
+              "compile ms", "wall s", "promoted b/o/j", "osr", "tierup ms");
+  f64 is_opt_wall = 0, is_tiered_wall = 0;
   for (const auto& kernel : kernels) {
     for (const auto& c : cfgs) {
-      embed::EmbedderConfig ec;
-      ec.engine = c.engine;
-      ReportCollector collector;
-      ec.extra_imports = collector.hook();
-      embed::Embedder emb(ec);
-      auto result =
-          emb.run_world({kernel.bytes.data(), kernel.bytes.size()}, 2);
-      MW_CHECK(result.exit_code == 0, "kernel failed");
-      std::printf("%-8s %-14s %12.3f %12.4f %8llu/%-5llu %14.2f\n",
-                  kernel.name, c.name.c_str(), result.compile_ms,
-                  result.wall_seconds,
-                  (unsigned long long)result.tierup.promoted_baseline,
-                  (unsigned long long)result.tierup.promoted_optimizing,
-                  result.tierup.tierup_compile_ms);
+      embed::RunResult best;
+      for (int rep = 0; rep < 3; ++rep) {
+        embed::EmbedderConfig ec;
+        ec.engine = c.engine;
+        ReportCollector collector;
+        ec.extra_imports = collector.hook();
+        embed::Embedder emb(ec);
+        auto result =
+            emb.run_world({kernel.bytes.data(), kernel.bytes.size()}, 2);
+        MW_CHECK(result.exit_code == 0, "kernel failed");
+        if (rep == 0 || result.wall_seconds < best.wall_seconds)
+          best = std::move(result);
+      }
+      std::printf("%-8s %-16s %12.3f %12.4f %4llu/%4llu/%-4llu %6llu %12.2f\n",
+                  kernel.name, c.name.c_str(), best.compile_ms,
+                  best.wall_seconds,
+                  (unsigned long long)best.tierup.promoted_baseline,
+                  (unsigned long long)best.tierup.promoted_optimizing,
+                  (unsigned long long)best.tierup.promoted_jit,
+                  (unsigned long long)best.tierup.promoted_osr,
+                  best.tierup.tierup_compile_ms);
+      if (std::string(kernel.name) == "NPB-IS") {
+        if (c.name == "optimizing") is_opt_wall = best.wall_seconds;
+        if (c.name == "tiered(default)") is_tiered_wall = best.wall_seconds;
+      }
     }
   }
+  const f64 ratio = is_opt_wall > 0 ? is_tiered_wall / is_opt_wall : 0.0;
+  const bool ok = ratio <= 2.0;
+  std::printf("\n  => NPB-IS tiered(default) wall: %.2fx optimizing "
+              "(gate <= 2x): %s\n",
+              ratio, ok ? "ok" : "FAIL");
+  return ok;
 }
 
 void cache_warm_start() {
@@ -221,7 +250,7 @@ void cache_warm_start() {
 int main() {
   print_banner("Tier-up — lazy per-function compilation crossover");
   micro_crossover();
-  npb_crossover();
+  const bool npb_ok = npb_crossover();
   cache_warm_start();
-  return 0;
+  return npb_ok ? 0 : 1;
 }

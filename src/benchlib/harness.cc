@@ -63,17 +63,20 @@ void print_comparison_table(const std::string& metric,
                             bool lower_is_better) {
   std::printf("%12s %16s %16s %10s\n", "x", ("native " + metric).c_str(),
               ("wasm " + metric).c_str(), "ratio");
+  std::vector<f64> ratios;  // wasm/native in time terms (>1: wasm slower)
   for (const auto& r : rows) {
     f64 ratio = r.native > 0 && r.wasm > 0
                     ? (lower_is_better ? r.wasm / r.native : r.native / r.wasm)
                     : 0.0;
+    if (ratio > 0) ratios.push_back(ratio);
     std::printf("%12.0f %16.3f %16.3f %9.3fx\n", r.x, r.native, r.wasm, ratio);
   }
-  f64 slowdown = gm_slowdown(rows, lower_is_better);
-  if (slowdown >= 0)
-    std::printf("  => GM average slowdown with MPIWasm: %.3fx\n", slowdown);
-  else
-    std::printf("  => GM average speedup with MPIWasm: %.3fx\n", -slowdown);
+  if (ratios.empty()) return;
+  std::printf("  => GM wasm/native ratio: %.3fx\n", geomean(ratios));
+  // The paper's summary number is a fraction, not a ratio.
+  std::printf("  => GM slowdown fraction (paper Sec. 4.5, 1 - GM(native/wasm)):"
+              " %.3f\n",
+              gm_slowdown(rows, lower_is_better));
 }
 
 void write_csv(const std::string& path, const std::string& header,

@@ -43,7 +43,8 @@ void print_banner(const std::string& title);
 void print_subhead(const std::string& text);
 
 /// Prints paper-Figure-3 style rows: bytes, native us, wasm us, ratio;
-/// footer holds the GM slowdown per §4.5's convention.
+/// the footer holds the geomean of the ratio column (wasm/native, "x") and,
+/// labelled as a fraction, §4.5's GM slowdown 1 - GM(native/wasm).
 void print_comparison_table(const std::string& metric,
                             const std::vector<ComparisonRow>& rows,
                             bool lower_is_better);

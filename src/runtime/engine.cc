@@ -168,8 +168,25 @@ void tiered_counting_entry(Instance& inst, const CompiledModule& cm,
       inst.run_regcode(*rf, base);
     }
   } else {
-    inst.run_predecoded(cm.predecoded.funcs[defined_index], base);
+    inst.run_predecoded(defined_index, base);
   }
+}
+
+/// The full pipeline with the module's ablation flags: what every tiered
+/// promotion past Baseline (and every OSR body) is optimized with.
+OptOptions tiered_opt_options(const TieredState& ts) {
+  OptOptions opt = OptOptions::full();
+  opt.fuse_super = ts.opt_superinstructions;
+  opt.hoist_bounds = ts.opt_hoist_bounds;
+  opt.simd = ts.opt_simd;
+  return opt;
+}
+
+const RFunc* find_osr(const FuncUnit& u, u32 loop_pos) {
+  for (const OsrEntry* e = u.osr.load(std::memory_order_acquire); e != nullptr;
+       e = e->next)
+    if (e->loop_pos == loop_pos) return &e->body;
+  return nullptr;
 }
 
 }  // namespace
@@ -211,13 +228,8 @@ void tier_up(const CompiledModule& cm, u32 defined_index, EngineTier target) {
     body = std::make_unique<RFunc>(lower_function(cm.module, defined_index));
     // kJit sits on top of the full optimizing pipeline: templates cover the
     // fused superinstructions, so the native code keeps their wins.
-    if (target != EngineTier::kBaseline) {
-      OptOptions opt = OptOptions::full();
-      opt.fuse_super = ts.opt_superinstructions;
-      opt.hoist_bounds = ts.opt_hoist_bounds;
-      opt.simd = ts.opt_simd;
-      optimize_function(*body, opt);
-    }
+    if (target != EngineTier::kBaseline)
+      optimize_function(*body, tiered_opt_options(ts));
   }
   // Native codegen (or validation + reinstall of a cache-loaded blob). On
   // failure the fully optimized body is published at kOptimizing instead —
@@ -269,6 +281,46 @@ void tier_up(const CompiledModule& cm, u32 defined_index, EngineTier target) {
                             << (from_cache ? " (cache)" : ""));
 }
 
+const RFunc* osr_entry(const CompiledModule& cm, u32 defined_index,
+                       u32 loop_pos) {
+  TieredState& ts = cm.tiered;
+  FuncUnit& u = ts.units[defined_index];
+  if (const RFunc* body = find_osr(u, loop_pos)) return body;
+  // Same policy as tier_up: never stall an interpreting thread behind
+  // another thread's compile.
+  std::unique_lock<std::mutex> lock(ts.mu, std::try_to_lock);
+  if (!lock.owns_lock()) return nullptr;
+  if (const RFunc* body = find_osr(u, loop_pos)) return body;
+
+  trace::Scope span("engine", "tier_up");
+  Stopwatch watch;
+  auto entry = std::make_unique<OsrEntry>();
+  entry->loop_pos = loop_pos;
+  entry->body = lower_osr_function(cm.module, defined_index, loop_pos);
+  optimize_function(entry->body, tiered_opt_options(ts));
+  const bool jit_ok = ts.jit_enabled && attach_jit_entry(cm, entry->body);
+  prepare_rfunc(entry->body);
+
+  entry->next = u.osr.load(std::memory_order_relaxed);
+  const OsrEntry* published = entry.get();
+  u.osr_bodies.push_back(std::move(entry));
+  u.osr.store(published, std::memory_order_release);
+
+  ts.stats.tierup_compile_ns.fetch_add(watch.elapsed_ns(),
+                                       std::memory_order_relaxed);
+  ts.stats.promoted_osr.fetch_add(1, std::memory_order_relaxed);
+  const EngineTier tier = jit_ok ? EngineTier::kJit : EngineTier::kOptimizing;
+  if (MW_TRACE_ACTIVE()) {
+    trace::note_arg("func", i64(defined_index));
+    trace::note_arg("osr", 1);
+    trace::note_arg("loop", i64(loop_pos));
+    trace::note_str("tier", tier_name(tier));
+  }
+  MW_DEBUG("osr: func " << defined_index << " loop @" << loop_pos << " -> "
+                        << tier_name(tier));
+  return &published->body;
+}
+
 TierUpSnapshot tierup_snapshot(const CompiledModule& cm) {
   const TieredState& ts = cm.tiered;
   TierUpSnapshot s;
@@ -285,6 +337,7 @@ TierUpSnapshot tierup_snapshot(const CompiledModule& cm) {
   s.promoted_baseline = ts.stats.promoted_baseline.load();
   s.promoted_optimizing = ts.stats.promoted_optimizing.load();
   s.promoted_jit = ts.stats.promoted_jit.load();
+  s.promoted_osr = ts.stats.promoted_osr.load();
   s.func_cache_hits = ts.stats.func_cache_hits.load();
   s.tierup_compile_ms = f64(ts.stats.tierup_compile_ns.load()) / 1e6;
   // Native-code census covers static kJit modules too (num_units == 0).

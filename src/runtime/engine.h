@@ -1,7 +1,7 @@
 // Compilation engine: turns Wasm binaries into executable CompiledModules.
 //
-// Four static tiers; the three compiled ones reproduce the paper's
-// compiler-backend trade-off (Table 1):
+// Five static tiers; the middle three reproduce the paper's compiler-backend
+// trade-off (Table 1):
 //   kInterp     — predecode + stack-machine execution (not in Table 1;
 //                 kept for differential testing and instant startup)
 //   kBaseline   — linear-time stack->register lowering, no optimization
@@ -11,20 +11,29 @@
 //   kOptimizing — fixpoint pass pipeline with compare/branch, immediate,
 //                 and mul-add fusion (the LLVM point: slowest compile,
 //                 fastest run)
+//   kJit        — x86-64 template codegen over kOptimizing's RegCode
+//                 (jit_x64.h); degrades to kOptimizing when `jit` is off
 //
 // kTiered dissolves the compile-time/run-time trade-off: the unit of
 // compilation becomes the *function*, not the module. compile() only
 // predecodes (instant startup, like kInterp); each function carries an
 // atomic call counter and is lazily lowered to Baseline regcode, then
-// re-lowered + fully optimized, as its counter crosses the configured
-// thresholds. Publication is thread-safe: CompiledModule is shared across
-// rank threads, so promoted bodies are handed off through atomic pointers
-// and never freed while the module lives.
+// re-lowered + fully optimized, then (with `jit` on) compiled to native
+// code, as its counter crosses the configured thresholds. A function that
+// is entered once and loops never crosses a call threshold, so interpreted
+// activations also count their backward branches: at the final-stage
+// threshold the activation moves mid-loop onto an on-stack-replacement
+// (OSR) body — the whole function at the top tier, entered at that loop's
+// header with the interpreter's locals as its parameters (osr_entry()).
+// Publication is thread-safe: CompiledModule is shared across rank threads,
+// so promoted and OSR bodies are handed off through atomic pointers and
+// never freed while the module lives.
 //
 // A FileSystemCache keyed by a SHA-256 module digest (paper §3.3 uses
 // BLAKE-3) lets repeated executions skip recompilation entirely; in tiered
 // mode the cache holds per-function entries keyed by
-// (module hash, function index, tier) so hot functions warm-start.
+// (module hash, function index, tier) so hot functions warm-start (OSR
+// bodies are not cached).
 #pragma once
 
 #include <atomic>
@@ -132,6 +141,16 @@ enum class FuncState : u8 {
 using EntryThunk = void (*)(Instance& inst, const CompiledModule& cm,
                             u32 defined_index, Slot* base);
 
+/// One published on-stack-replacement body: the function recompiled at the
+/// top tier with every local as a parameter and pc 0 branching to the head
+/// of the loop whose `loop` instruction is predecoded index `loop_pos`.
+/// Entries form an immutable singly linked list, newest first.
+struct OsrEntry {
+  u32 loop_pos = 0;
+  RFunc body;
+  const OsrEntry* next = nullptr;
+};
+
 /// Per-function compilation unit (tiered mode). Readers are lock-free:
 /// they load `entry`/`active` with acquire semantics. Writers serialize on
 /// TieredState::mu and publish with release stores. Promoted bodies are
@@ -147,6 +166,10 @@ struct FuncUnit {
   std::unique_ptr<RFunc> baseline_body;
   std::unique_ptr<RFunc> optimized_body;
   std::unique_ptr<RFunc> jit_body;  // optimized body + native entry
+  // OSR bodies keyed by loop header: readers walk the list from `osr` with
+  // acquire; writers prepend under TieredState::mu. `osr_bodies` owns them.
+  std::atomic<const OsrEntry*> osr{nullptr};
+  std::vector<std::unique_ptr<OsrEntry>> osr_bodies;
 };
 
 /// Monotonic tier-up counters, aggregated across all rank threads.
@@ -154,8 +177,9 @@ struct TierUpStats {
   std::atomic<u64> promoted_baseline{0};
   std::atomic<u64> promoted_optimizing{0};
   std::atomic<u64> promoted_jit{0};
+  std::atomic<u64> promoted_osr{0};       // OSR bodies compiled
   std::atomic<u64> func_cache_hits{0};   // promotions served from cache
-  std::atomic<u64> tierup_compile_ns{0};  // wall time spent promoting
+  std::atomic<u64> tierup_compile_ns{0};  // wall time spent promoting (+OSR)
 };
 
 /// Plain-value copy of TierUpStats for reports, plus a census of the
@@ -167,6 +191,7 @@ struct TierUpSnapshot {
   u64 promoted_baseline = 0;
   u64 promoted_optimizing = 0;
   u64 promoted_jit = 0;
+  u64 promoted_osr = 0;  // loop headers given an OSR body (any function)
   u64 func_cache_hits = 0;
   f64 tierup_compile_ms = 0;
   // Calls observed while counting thunks were installed (tiered mode; a
@@ -194,6 +219,11 @@ struct TieredState {
   std::string cache_dir;
   std::mutex mu;  // serializes promotion compilation/publication
   TierUpStats stats;
+  /// Backward branches an interpreted activation takes before it asks for
+  /// an OSR body: the final stage's call threshold.
+  u64 osr_threshold() const {
+    return jit_enabled ? jit_threshold : opt_threshold;
+  }
 };
 
 /// An immutable compiled module, shareable across rank instances. (In
@@ -233,6 +263,16 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
 /// on a later call — promotion never stalls execution). Normally driven
 /// by the counting entry thunk, exposed for tests and warm-up hooks.
 void tier_up(const CompiledModule& cm, u32 defined_index, EngineTier target);
+
+/// Returns the OSR body for defined function `defined_index` entered at the
+/// loop whose `loop` instruction is predecoded index `loop_pos` (the loop
+/// label's operand stack must be empty). The first request compiles it —
+/// jit when native promotion is on, optimizing RegCode otherwise — and
+/// publishes it for every thread; later requests reuse it. Returns nullptr
+/// without compiling when another thread holds the promotion lock: the
+/// caller keeps interpreting and asks again later.
+const RFunc* osr_entry(const CompiledModule& cm, u32 defined_index,
+                       u32 loop_pos);
 
 /// Reads the module's tier-up counters (zeros for non-tiered modules).
 TierUpSnapshot tierup_snapshot(const CompiledModule& cm);

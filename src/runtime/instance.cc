@@ -191,7 +191,7 @@ void Instance::call_function(u32 fidx, Slot* base) {
                                                                 base);
       return;
     case EngineTier::kInterp:
-      run_predecoded(cm.predecoded.funcs[di], base);
+      run_predecoded(di, base);
       return;
     case EngineTier::kJit: {
       // Per-function fallback: bodies without a native entry (template gap
@@ -210,7 +210,8 @@ void Instance::call_function(u32 fidx, Slot* base) {
   }
 }
 
-void Instance::run_predecoded(const PreFunc& f, Slot* base) {
+void Instance::run_predecoded(u32 defined_index, Slot* base) {
+  const PreFunc& f = cm_->predecoded.funcs[defined_index];
   const u32 frame_slots = f.num_locals + f.max_stack;
   Slot* frame = alloc_frame(frame_slots);
   struct FrameGuard {
@@ -222,7 +223,7 @@ void Instance::run_predecoded(const PreFunc& f, Slot* base) {
   std::memset(frame + f.num_params, 0,
               (frame_slots - f.num_params) * sizeof(Slot));
   if (f.num_params > 0) std::memcpy(frame, base, f.num_params * sizeof(Slot));
-  interp_exec(*this, f, frame);
+  interp_exec(*this, f, defined_index, frame);
   if (f.has_result) base[0] = frame[0];
 }
 

@@ -19,7 +19,6 @@
 namespace mpiwasm::rt {
 
 struct CompiledModule;
-struct PreFunc;
 struct RFunc;
 class Instance;
 
@@ -97,9 +96,10 @@ class Instance {
   /// different tier); otherwise the module-wide tier picks the executor.
   void call_function(u32 fidx, Slot* base);
 
-  /// Runs a predecoded body: allocates the frame, zeroes locals, copies the
-  /// args from `base`, executes, and writes the result back to `base[0]`.
-  void run_predecoded(const PreFunc& f, Slot* base);
+  /// Runs defined function `defined_index`'s predecoded body: allocates the
+  /// frame, zeroes locals, copies the args from `base`, executes, and
+  /// writes the result back to `base[0]`.
+  void run_predecoded(u32 defined_index, Slot* base);
   /// Same, for a lowered RegCode body (any compiled tier).
   void run_regcode(const RFunc& f, Slot* base);
   /// Same, for a body with a native entry point (f.jit_entry != nullptr);

@@ -349,13 +349,43 @@ PreModule predecode_module(const wasm::Module& m) {
   return pm;
 }
 
-void interp_exec(Instance& inst, const PreFunc& f, Slot* frame) {
+void interp_exec(Instance& inst, const PreFunc& f, u32 defined_index,
+                 Slot* frame) {
   LinearMemory& mem = inst.memory();
   Slot* locals = frame;
   Slot* stack = frame + f.num_locals;
   u32 sp = 0;  // operand stack height
   size_t i = 0;
   const size_t nend = f.code.size() - 1;  // function-level End index
+
+  // Tiered mode counts this activation's backward branches in a local (a
+  // shared counter would put rank threads on one cache line). At the final
+  // stage's threshold, a back edge into a loop whose label holds no
+  // operands hands the rest of the activation to that loop's OSR body,
+  // which runs on a copy of the locals and leaves the result in frame[0].
+  const CompiledModule& cm = inst.compiled();
+  const bool count_backedges = cm.tier == EngineTier::kTiered;
+  const u64 osr_threshold = count_backedges ? cm.tiered.osr_threshold() : 0;
+  u64 backedges = 0;
+  auto try_osr = [&](const PreBr& br) {
+    if (br.height != 0) return false;  // declined: operands under the label
+    const RFunc* body = osr_entry(cm, defined_index, br.target);
+    if (body == nullptr) {
+      backedges = 0;  // promotion lock busy: retry one threshold later
+      return false;
+    }
+    if (body->jit_entry != nullptr) {
+      inst.run_jit(*body, locals);
+    } else {
+      inst.run_regcode(*body, locals);
+    }
+    return true;
+  };
+  // True when the activation finished on an OSR body (branch at `i`).
+  auto osr_on_backedge = [&](const PreBr& br) {
+    return count_backedges && br.target < i && ++backedges >= osr_threshold &&
+           try_osr(br);
+  };
 
   auto push_slot = [&](Slot s) { stack[sp++] = s; };
   auto pop_slot = [&]() -> Slot { return stack[--sp]; };
@@ -497,11 +527,13 @@ void interp_exec(Instance& inst, const PreFunc& f, Slot* frame) {
         }
         break;
       case Op::kBr:
+        if (osr_on_backedge(f.br[i])) return;
         branch_to(f.br[i]);
         continue;
       case Op::kBrIf: {
         u32 cond = pop_slot().u32v;
         if (cond != 0) {
+          if (osr_on_backedge(f.br[i])) return;
           branch_to(f.br[i]);
           continue;
         }
@@ -512,6 +544,7 @@ void interp_exec(Instance& inst, const PreFunc& f, Slot* frame) {
         const auto& table = f.tables[f.br[i].table];
         const PreBr& target =
             table[idx < table.size() - 1 ? idx : u32(table.size() - 1)];
+        if (osr_on_backedge(target)) return;
         branch_to(target);
         continue;
       }

@@ -43,8 +43,11 @@ PreModule predecode_module(const wasm::Module& m);
 class Instance;
 struct Slot;
 
-/// Executes a predecoded function. `frame` holds locals followed by the
-/// operand stack area (num_locals + max_stack slots).
-void interp_exec(Instance& inst, const PreFunc& f, Slot* frame);
+/// Executes predecoded defined function `defined_index` (`f`). `frame` holds
+/// locals followed by the operand stack area (num_locals + max_stack
+/// slots). In tiered mode a long-looping activation may finish on an OSR
+/// body (osr_entry() in engine.h); the result still lands in frame[0].
+void interp_exec(Instance& inst, const PreFunc& f, u32 defined_index,
+                 Slot* frame);
 
 }  // namespace mpiwasm::rt

@@ -311,8 +311,9 @@ ROp lowering_imm_fused(Op op) {
 
 class FuncLowering {
  public:
-  FuncLowering(const wasm::Module& m, u32 defined_index)
-      : m_(m), body_(m.bodies.at(defined_index)) {
+  FuncLowering(const wasm::Module& m, u32 defined_index,
+               u32 osr_loop = UINT32_MAX)
+      : m_(m), body_(m.bodies.at(defined_index)), osr_loop_(osr_loop) {
     const wasm::FuncType& ft =
         m.func_type(m.num_imported_funcs() + defined_index);
     out_.num_params = u32(ft.params.size());
@@ -322,14 +323,25 @@ class FuncLowering {
   }
 
   RFunc run() {
+    if (osr_loop_ != UINT32_MAX) {
+      out_.num_params = out_.num_locals;
+      emit(ROp::kBr);  // patched to the OSR loop's head when it is lowered
+    }
     push_frame(Frame::kBlock, out_.has_result, /*entered_live=*/true);
     wasm::InstrReader reader({body_.code.data(), body_.code.size()});
-    while (!reader.done()) {
+    for (u32 index = 0; !reader.done(); ++index) {
       InstrView in = reader.next();
       if (frames_.empty()) fatal("lowering: instructions after function end");
+      if (index == osr_loop_) {
+        MW_CHECK(in.op == Op::kLoop && live_ && h_ == 0,
+                 "lowering: OSR target is not a live loop on an empty stack");
+        patch(0, out_.code.size());
+      }
       step(in);
     }
     MW_CHECK(frames_.empty(), "lowering: unbalanced control frames");
+    MW_CHECK(osr_loop_ == UINT32_MAX || out_.code[0].imm != 0,
+             "lowering: OSR loop index out of range");
     out_.num_regs = L_ + max_h_ + 1;
     return std::move(out_);
   }
@@ -402,6 +414,7 @@ class FuncLowering {
 
   const wasm::Module& m_;
   const wasm::FuncBody& body_;
+  const u32 osr_loop_;  // UINT32_MAX: ordinary lowering
   RFunc out_;
   u32 L_ = 0;
   u32 h_ = 0;
@@ -768,6 +781,12 @@ void FuncLowering::step(const InstrView& in) {
 
 RFunc lower_function(const wasm::Module& m, u32 defined_index) {
   FuncLowering lowering(m, defined_index);
+  return lowering.run();
+}
+
+RFunc lower_osr_function(const wasm::Module& m, u32 defined_index,
+                         u32 loop_instr) {
+  FuncLowering lowering(m, defined_index, loop_instr);
   return lowering.run();
 }
 

@@ -132,6 +132,7 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
                "    \"promoted_baseline\": %llu,\n"
                "    \"promoted_optimizing\": %llu,\n"
                "    \"promoted_jit\": %llu,\n"
+               "    \"promoted_osr\": %llu,\n"
                "    \"func_cache_hits\": %llu,\n"
                "    \"tierup_compile_ms\": %.3f,\n"
                "    \"calls_counted\": %llu,\n"
@@ -148,6 +149,7 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
                (unsigned long long)t.promoted_baseline,
                (unsigned long long)t.promoted_optimizing,
                (unsigned long long)t.promoted_jit,
+               (unsigned long long)t.promoted_osr,
                (unsigned long long)t.func_cache_hits, t.tierup_compile_ms,
                (unsigned long long)t.calls_counted,
                (unsigned long long)t.jit_funcs,
@@ -301,12 +303,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "[mpiwasm] tier-up: %llu funcs (%llu compiled), "
                    "%llu -> baseline, %llu -> optimizing, %llu -> jit, "
-                   "%llu cache hits, %.2fms compiling\n",
+                   "%llu OSR, %llu cache hits, %.2fms compiling\n",
                    (unsigned long long)t.funcs_total,
                    (unsigned long long)t.funcs_regcode,
                    (unsigned long long)t.promoted_baseline,
                    (unsigned long long)t.promoted_optimizing,
                    (unsigned long long)t.promoted_jit,
+                   (unsigned long long)t.promoted_osr,
                    (unsigned long long)t.func_cache_hits, t.tierup_compile_ms);
     }
     if (print_stats) {
@@ -319,11 +322,12 @@ int main(int argc, char** argv) {
                    (unsigned long long)t.calls_counted);
       std::fprintf(stderr,
                    "[mpiwasm] stats: tier-up events: %llu -> baseline, "
-                   "%llu -> optimizing, %llu -> jit (%llu cache hits, "
-                   "%.2fms compiling)\n",
+                   "%llu -> optimizing, %llu -> jit, %llu OSR loop entries "
+                   "(%llu cache hits, %.2fms compiling)\n",
                    (unsigned long long)t.promoted_baseline,
                    (unsigned long long)t.promoted_optimizing,
                    (unsigned long long)t.promoted_jit,
+                   (unsigned long long)t.promoted_osr,
                    (unsigned long long)t.func_cache_hits, t.tierup_compile_ms);
       std::fprintf(stderr,
                    "[mpiwasm] stats: jit: %llu native funcs, %llu interpreter "

@@ -206,10 +206,13 @@ class AtomicsCfgTest : public ::testing::TestWithParam<EngineConfig> {
 INSTANTIATE_TEST_SUITE_P(AllConfigs, AtomicsCfgTest,
                          ::testing::ValuesIn(all_engine_configs()),
                          [](const auto& info) {
+                           // The index keeps names unique when the
+                           // environment makes two configs coincide (plain
+                           // kJit and jit_off under MPIWASM_JIT=0).
                            std::string s = config_label(info.param);
                            for (char& c : s)
                              if (!isalnum(u8(c))) c = '_';
-                           return s;
+                           return s + std::to_string(info.index);
                          });
 
 constexpr u64 kPatA = 0xF1E2D3C4B5A69788ull;

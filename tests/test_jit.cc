@@ -249,6 +249,42 @@ TEST(Jit, OobTrapsAtTheSamePointAsInterp) {
   }
 }
 
+TEST(Jit, LoopTrapPointMatchesInterpInEveryConfig) {
+  // run(n): for i in 0..n: mem[i*8] = i + 1 — with n past the page the
+  // loop traps mid-run. Under the OSR-forcing tiered config the trap
+  // unwinds out of a native OSR body entered from an interpreted frame.
+  auto bytes = build_single_func({{I32}, {}}, [](auto& f) {
+    u32 i = f.add_local(ValType::kI32);
+    f.for_loop_i32(i, 0, 0, 1, [&] {
+      f.local_get(i);
+      f.i32_const(8);
+      f.op(Op::kI32Mul);
+      f.local_get(i);
+      f.i32_const(1);
+      f.op(Op::kI32Add);
+      f.mem_op(Op::kI32Store);
+    });
+    f.end();
+  });
+  std::vector<u8> ref;
+  for (const EngineConfig& cfg : all_engine_configs()) {
+    auto inst = instantiate_cfg(bytes, cfg);
+    TrapKind kind = TrapKind::kHostError;
+    try {
+      inst->invoke("run", std::vector<Value>{Value::from_i32(9000)});
+      ADD_FAILURE() << "expected an OOB trap under " << config_label(cfg);
+    } catch (const Trap& t) {
+      kind = t.kind();
+    }
+    EXPECT_EQ(kind, TrapKind::kMemoryOutOfBounds) << config_label(cfg);
+    std::vector<u8> mem(inst->memory().base(),
+                        inst->memory().base() + inst->memory().byte_size());
+    if (ref.empty()) ref = mem;  // all_engine_configs() starts at kInterp
+    EXPECT_TRUE(mem == ref) << "partial stores differ under "
+                            << config_label(cfg);
+  }
+}
+
 TEST(Jit, DivTrapsMatchInterp) {
   auto bytes = build_single_func({{I32, I32}, {I32}}, [](auto& f) {
     f.local_get(0);

@@ -10,6 +10,7 @@
 
 #include <cctype>
 #include <cstring>
+#include <regex>
 #include <set>
 #include <string>
 #include <thread>
@@ -18,12 +19,14 @@
 #include "benchlib/harness.h"
 #include "embedder/abi.h"
 #include "embedder/embedder.h"
+#include "runtime/interp.h"
 #include "simmpi/coll_algos.h"
 #include "simmpi/world.h"
 #include "support/timing.h"
 #include "support/trace.h"
 #include "toolchain/kernels.h"
 #include "toolchain/mpi_imports.h"
+#include "wasm/decoder.h"
 
 namespace mpiwasm::test {
 namespace {
@@ -282,6 +285,47 @@ TEST(TraceJson, TracedWorkloadEmitsWellFormedChromeJson) {
         "thread_name"}) {
     EXPECT_TRUE(checker.names.count(name)) << "missing event: " << name;
   }
+  trace_quiesce();
+}
+
+// ---------------------------------------------------------------------------
+// OSR provenance. NPB IS enters _start once per rank and spends it in
+// loops, so tiered mode at its default thresholds reaches the top tier only
+// through OSR; the tier_up span says so and names the loop header.
+
+TEST(TraceJson, OsrTierUpSpanCarriesTheLoopIndex) {
+  trace_quiesce();
+  trace::enable_tracing(true);
+  toolchain::IsParams p;
+  p.keys_per_rank = 1 << 12;
+  p.repetitions = 1;
+  auto bytes = toolchain::build_is_module(p);
+  bench::ReportCollector collector;
+  EmbedderConfig cfg;
+  cfg.engine.tier = EngineTier::kTiered;
+  cfg.engine.enable_cache = false;
+  cfg.extra_imports = collector.hook();
+  Embedder emb(cfg);
+  auto result = emb.run_world({bytes.data(), bytes.size()}, 2);
+  ASSERT_EQ(result.exit_code, 0);
+  EXPECT_GE(result.tierup.promoted_osr, 1u);
+
+  const std::string json = trace::chrome_json();
+  const std::regex osr_span(
+      "\"name\":\"tier_up\",\"cat\":\"engine\",\"args\":\\{"
+      "\"func\":(\\d+),\"osr\":1,\"loop\":(\\d+),"
+      "\"tier\":\"(jit|optimizing)\"\\}");
+  std::smatch m;
+  ASSERT_TRUE(std::regex_search(json, m, osr_span)) << "no OSR tier_up span";
+  // The loop arg is the predecoded index of a `loop` instruction.
+  auto decoded = wasm::decode_module({bytes.data(), bytes.size()});
+  ASSERT_TRUE(decoded.ok());
+  const u32 func = u32(std::stoul(m[1]));
+  const u32 loop = u32(std::stoul(m[2]));
+  ASSERT_LT(func, decoded.module->bodies.size());
+  rt::PreFunc pf = rt::predecode_function(*decoded.module, func);
+  ASSERT_LT(loop, pf.code.size());
+  EXPECT_EQ(pf.code[loop].op, wasm::Op::kLoop);
   trace_quiesce();
 }
 

@@ -39,7 +39,8 @@ inline std::vector<EngineTier> all_tiers() {
 /// paths against the plain pipeline), plus tiered mode with threshold 1,
 /// which forces a lazy promotion on the very first call of every function
 /// (maximum mid-run tier churn; promotions also compile fused+hoisted
-/// bodies).
+/// bodies), staged and native-code tiered variants, and an OSR-forcing
+/// tiered variant.
 inline std::vector<EngineConfig> all_engine_configs() {
   std::vector<EngineConfig> cfgs;
   for (EngineTier tier : all_tiers()) {
@@ -77,6 +78,15 @@ inline std::vector<EngineConfig> all_engine_configs() {
   tiered_jit.tierup_opt_threshold = 2;
   tiered_jit.tierup_jit_threshold = 3;  // jit knob keeps its env default
   cfgs.push_back(tiered_jit);
+  // OSR forcing: calls below 64 stay interpreted, and any loop past 64
+  // iterations (the final-stage threshold doubles as the per-activation
+  // back-edge budget) moves its frame mid-activation onto an OSR body.
+  EngineConfig osr;
+  osr.tier = EngineTier::kTiered;
+  osr.tierup_baseline_threshold = 64;
+  osr.tierup_opt_threshold = 64;
+  osr.tierup_jit_threshold = 64;
+  cfgs.push_back(osr);
   return cfgs;
 }
 
