@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "runtime/regcode_analysis.h"
 #include "support/byte_buffer.h"
 #include "support/log.h"
 
@@ -133,7 +134,9 @@ bool read_rfunc(ByteReader& r, RFunc& f) {
     }
     f.jit = std::move(blob);
   }
-  return true;
+  // A record whose operands name slots outside its own frame would read and
+  // write past the frame allocation when run; treat it as corrupt.
+  return operands_in_range(f);
 }
 
 bool read_header(ByteReader& r) {

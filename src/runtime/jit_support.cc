@@ -18,7 +18,9 @@ namespace {
 
 // Bump when any template's encoding or register assignment changes in a way
 // that would make a previously cached blob wrong (not just stale).
-constexpr u64 kJitCodegenVersion = 1;
+// 2: the register-cached emitter (values in rsi/rdi/r8-r11 and xmm2-xmm15,
+// promoted loops).
+constexpr u64 kJitCodegenVersion = 2;
 
 /// One in-flight native activation per (possibly nested) jit_enter. The
 /// jmp_buf is the landing pad trap helpers longjmp to; `prev` restores the

@@ -7,208 +7,10 @@
 #include <vector>
 
 #include "runtime/arith.h"
+#include "runtime/regcode_analysis.h"
 
 namespace mpiwasm::rt {
 namespace {
-
-bool is_branch(ROp op) {
-  switch (op) {
-    case ROp::kBr: case ROp::kBrIf: case ROp::kBrIfNot: case ROp::kBrTable:
-    case ROp::kBrIfI32Eq: case ROp::kBrIfI32Ne: case ROp::kBrIfI32LtS:
-    case ROp::kBrIfI32LtU: case ROp::kBrIfI32GtS: case ROp::kBrIfI32GtU:
-    case ROp::kBrIfI32LeS: case ROp::kBrIfI32LeU: case ROp::kBrIfI32GeS:
-    case ROp::kBrIfI32GeU:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_terminator(ROp op) {
-  return op == ROp::kBr || op == ROp::kBrTable || op == ROp::kReturn ||
-         op == ROp::kReturnVoid || op == ROp::kUnreachable;
-}
-
-/// The fused compare-and-select family (contiguous in the enum). These ops
-/// read a/b/c/d and write a (a is both the "true" value and the dest), so
-/// several predicates below special-case them as a group.
-bool is_fused_select(ROp op) {
-  return op >= ROp::kSelectI32Eq && op <= ROp::kSelectF64Gt;
-}
-
-/// Register reads of an instruction (calls handled by callers).
-void collect_reads(const RInstr& in, std::vector<u32>& out) {
-  out.clear();
-  // Atomics: loads read the address (b); rmw additionally the operand (c);
-  // cmpxchg and wait also read d; stores read address (a) and value (b).
-  if (rop_is_atomic(in.op)) {
-    switch (in.op) {
-      case ROp::kAtomicFence:
-        break;
-      case ROp::kAtomicNotify:
-        out.push_back(in.b); out.push_back(in.c);
-        break;
-      case ROp::kAtomicWait32: case ROp::kAtomicWait64:
-        out.push_back(in.b); out.push_back(in.c); out.push_back(in.d);
-        break;
-      default:
-        if (in.op >= ROp::kI32AtomicLoad && in.op <= ROp::kI64AtomicLoad32U) {
-          out.push_back(in.b);
-        } else if (in.op >= ROp::kI32AtomicStore &&
-                   in.op <= ROp::kI64AtomicStore32) {
-          out.push_back(in.a); out.push_back(in.b);
-        } else if (in.op >= ROp::kI32AtomicRmwCmpxchg) {
-          out.push_back(in.b); out.push_back(in.c); out.push_back(in.d);
-        } else {
-          out.push_back(in.b); out.push_back(in.c);  // rmw
-        }
-        break;
-    }
-    return;
-  }
-  // Fused selects read the destination (the "true" value), the "false"
-  // value, and both compare operands.
-  if (is_fused_select(in.op)) {
-    out.push_back(in.a); out.push_back(in.b);
-    out.push_back(in.c); out.push_back(in.d);
-    return;
-  }
-  switch (in.op) {
-    case ROp::kNop: case ROp::kConst: case ROp::kConstV128:
-    case ROp::kGlobalGet: case ROp::kBr: case ROp::kReturnVoid:
-    case ROp::kUnreachable: case ROp::kMemorySize:
-      break;
-    case ROp::kMov:
-      out.push_back(in.b);
-      break;
-    // Select-shaped ops: a is both a source and the destination.
-    case ROp::kSelect: case ROp::kV128Bitselect:
-      out.push_back(in.a); out.push_back(in.b); out.push_back(in.c);
-      break;
-    case ROp::kGlobalSet: case ROp::kBrIf: case ROp::kBrIfNot:
-    case ROp::kBrTable: case ROp::kReturn: case ROp::kMemoryGrow:
-      out.push_back(in.a);
-      break;
-    case ROp::kMemoryCopy: case ROp::kMemoryFill:
-      out.push_back(in.a); out.push_back(in.b); out.push_back(in.c);
-      break;
-    case ROp::kCall:
-      for (u32 i = 0; i < in.b; ++i) out.push_back(in.a + i);
-      break;
-    case ROp::kCallIndirect:
-      for (u32 i = 0; i < in.b + 1; ++i) out.push_back(in.a + i);
-      break;
-    case ROp::kBrIfI32Eq: case ROp::kBrIfI32Ne: case ROp::kBrIfI32LtS:
-    case ROp::kBrIfI32LtU: case ROp::kBrIfI32GtS: case ROp::kBrIfI32GtU:
-    case ROp::kBrIfI32LeS: case ROp::kBrIfI32LeU: case ROp::kBrIfI32GeS:
-    case ROp::kBrIfI32GeU:
-      out.push_back(in.a); out.push_back(in.b);
-      break;
-    case ROp::kF64MulAdd: case ROp::kF32MulAdd:
-      out.push_back(in.b); out.push_back(in.c); out.push_back(in.d);
-      break;
-    case ROp::kI32AddImm: case ROp::kI64AddImm: case ROp::kI32ShlImm:
-    case ROp::kI32ShrUImm: case ROp::kI32AndImm: case ROp::kI32MulImm:
-      out.push_back(in.b);
-      break;
-    case ROp::kMemGuard:
-      out.push_back(in.b); out.push_back(in.c);
-      break;
-    // Loads read the address in b; load+op additionally reads c; indexed
-    // loads read base (b) and index (c), d is the shift amount.
-    case ROp::kI32Load: case ROp::kI64Load: case ROp::kF32Load:
-    case ROp::kF64Load: case ROp::kI32Load8S: case ROp::kI32Load8U:
-    case ROp::kI32Load16S: case ROp::kI32Load16U: case ROp::kI64Load8S:
-    case ROp::kI64Load8U: case ROp::kI64Load16S: case ROp::kI64Load16U:
-    case ROp::kI64Load32S: case ROp::kI64Load32U: case ROp::kV128Load:
-    case ROp::kV128Load32Splat: case ROp::kV128Load64Splat:
-    case ROp::kI32LoadRaw: case ROp::kI64LoadRaw: case ROp::kF32LoadRaw:
-    case ROp::kF64LoadRaw: case ROp::kV128LoadRaw:
-      out.push_back(in.b);
-      break;
-    case ROp::kI32LoadAdd: case ROp::kI64LoadAdd: case ROp::kF32LoadAdd:
-    case ROp::kF64LoadAdd: case ROp::kF32LoadMul: case ROp::kF64LoadMul:
-    case ROp::kI32x4LoadAdd: case ROp::kF32x4LoadAdd: case ROp::kF32x4LoadMul:
-    case ROp::kF64x2LoadAdd: case ROp::kF64x2LoadMul:
-    case ROp::kI32LoadIx: case ROp::kI64LoadIx: case ROp::kF32LoadIx:
-    case ROp::kF64LoadIx: case ROp::kV128LoadIx:
-    case ROp::kI32LoadIxRaw: case ROp::kI64LoadIxRaw: case ROp::kF32LoadIxRaw:
-    case ROp::kF64LoadIxRaw: case ROp::kV128LoadIxRaw:
-      out.push_back(in.b); out.push_back(in.c);
-      break;
-    // Stores read address (a) and value (b); op+store and indexed stores
-    // additionally read c.
-    case ROp::kI32Store: case ROp::kI64Store: case ROp::kF32Store:
-    case ROp::kF64Store: case ROp::kI32Store8: case ROp::kI32Store16:
-    case ROp::kI64Store8: case ROp::kI64Store16: case ROp::kI64Store32:
-    case ROp::kV128Store:
-    case ROp::kI32StoreRaw: case ROp::kI64StoreRaw: case ROp::kF32StoreRaw:
-    case ROp::kF64StoreRaw: case ROp::kV128StoreRaw:
-      out.push_back(in.a); out.push_back(in.b);
-      break;
-    case ROp::kI32AddStore: case ROp::kF32AddStore: case ROp::kF64AddStore:
-    case ROp::kF64MulStore:
-    case ROp::kI32x4AddStore: case ROp::kF32x4AddStore:
-    case ROp::kF64x2AddStore: case ROp::kF64x2MulStore:
-    case ROp::kI32StoreIx: case ROp::kI64StoreIx: case ROp::kF32StoreIx:
-    case ROp::kF64StoreIx: case ROp::kV128StoreIx:
-    case ROp::kI32StoreIxRaw: case ROp::kI64StoreIxRaw: case ROp::kF32StoreIxRaw:
-    case ROp::kF64StoreIxRaw: case ROp::kV128StoreIxRaw:
-      out.push_back(in.a); out.push_back(in.b); out.push_back(in.c);
-      break;
-    default:
-      // Numeric ops: unops read b; binops read b and c. We conservatively
-      // report both; b==c for unops is harmless.
-      out.push_back(in.b);
-      out.push_back(in.c);
-      break;
-  }
-}
-
-bool writes_dest(const RInstr& in) {
-  // Atomic stores and the fence produce no register result; every other
-  // atomic (loads, rmw, cmpxchg, wait, notify) writes the old/outcome
-  // value to a.
-  if (in.op == ROp::kAtomicFence ||
-      (in.op >= ROp::kI32AtomicStore && in.op <= ROp::kI64AtomicStore32))
-    return false;
-  switch (in.op) {
-    case ROp::kNop: case ROp::kGlobalSet: case ROp::kBr: case ROp::kBrIf:
-    case ROp::kBrIfNot: case ROp::kBrTable: case ROp::kReturn:
-    case ROp::kReturnVoid: case ROp::kUnreachable: case ROp::kMemoryCopy:
-    case ROp::kMemoryFill:
-    case ROp::kI32Store: case ROp::kI64Store: case ROp::kF32Store:
-    case ROp::kF64Store: case ROp::kI32Store8: case ROp::kI32Store16:
-    case ROp::kI64Store8: case ROp::kI64Store16: case ROp::kI64Store32:
-    case ROp::kV128Store:
-    case ROp::kI32StoreRaw: case ROp::kI64StoreRaw: case ROp::kF32StoreRaw:
-    case ROp::kF64StoreRaw: case ROp::kV128StoreRaw:
-    case ROp::kI32AddStore: case ROp::kF32AddStore: case ROp::kF64AddStore:
-    case ROp::kF64MulStore:
-    case ROp::kI32x4AddStore: case ROp::kF32x4AddStore:
-    case ROp::kF64x2AddStore: case ROp::kF64x2MulStore:
-    case ROp::kI32StoreIx: case ROp::kI64StoreIx: case ROp::kF32StoreIx:
-    case ROp::kF64StoreIx: case ROp::kV128StoreIx:
-    case ROp::kI32StoreIxRaw: case ROp::kI64StoreIxRaw: case ROp::kF32StoreIxRaw:
-    case ROp::kF64StoreIxRaw: case ROp::kV128StoreIxRaw:
-    case ROp::kBrIfI32Eq: case ROp::kBrIfI32Ne: case ROp::kBrIfI32LtS:
-    case ROp::kBrIfI32LtU: case ROp::kBrIfI32GtS: case ROp::kBrIfI32GtU:
-    case ROp::kBrIfI32LeS: case ROp::kBrIfI32LeU: case ROp::kBrIfI32GeS:
-    case ROp::kBrIfI32GeU:
-      return false;
-    default:
-      return true;
-  }
-}
-
-/// Ops whose d field names a register (not a shift amount / flag word).
-bool reads_d_reg(ROp op) {
-  return op == ROp::kF64MulAdd || op == ROp::kF32MulAdd ||
-         is_fused_select(op) ||
-         op == ROp::kAtomicWait32 || op == ROp::kAtomicWait64 ||
-         (op >= ROp::kI32AtomicRmwCmpxchg &&
-          op <= ROp::kI64AtomicRmw32CmpxchgU);
-}
 
 /// Instructions that may be removed when their destination is dead: no
 /// traps, no control flow, no stores/calls/global writes.
@@ -316,64 +118,6 @@ bool is_pure(ROp op) {
     default:
       return false;  // div/rem/trunc trap; loads trap; calls/stores effect
   }
-}
-
-struct Cfg {
-  std::vector<size_t> leaders;               // sorted block start indices
-  std::vector<size_t> block_of;              // instr -> block id
-  std::vector<std::vector<u32>> successors;  // block id -> block ids
-
-  size_t block_start(size_t b) const { return leaders[b]; }
-  size_t block_end(size_t b, size_t n) const {
-    return b + 1 < leaders.size() ? leaders[b + 1] : n;
-  }
-};
-
-std::vector<u32> branch_targets(const RFunc& f, const RInstr& in) {
-  std::vector<u32> out;
-  if (in.op == ROp::kBrTable) {
-    for (u32 t : f.br_pool[in.imm]) out.push_back(t);
-  } else if (is_branch(in.op)) {
-    out.push_back(u32(in.imm));
-  }
-  return out;
-}
-
-Cfg build_cfg(const RFunc& f) {
-  const size_t n = f.code.size();
-  std::vector<bool> leader(n + 1, false);
-  leader[0] = true;
-  for (size_t i = 0; i < n; ++i) {
-    const RInstr& in = f.code[i];
-    if (is_branch(in.op) || is_terminator(in.op)) {
-      for (u32 t : branch_targets(f, in)) {
-        MW_CHECK(t <= n, "branch target out of range");
-        if (t < n) leader[t] = true;
-      }
-      if (i + 1 < n) leader[i + 1] = true;
-    }
-  }
-  Cfg cfg;
-  cfg.block_of.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (leader[i]) cfg.leaders.push_back(i);
-    cfg.block_of[i] = cfg.leaders.size() - 1;
-  }
-  cfg.successors.resize(cfg.leaders.size());
-  for (size_t b = 0; b < cfg.leaders.size(); ++b) {
-    size_t last = cfg.block_end(b, n) - 1;
-    const RInstr& in = f.code[last];
-    if (is_terminator(in.op)) {
-      for (u32 t : branch_targets(f, in))
-        if (t < n) cfg.successors[b].push_back(u32(cfg.block_of[t]));
-    } else {
-      if (is_branch(in.op))
-        for (u32 t : branch_targets(f, in))
-          if (t < n) cfg.successors[b].push_back(u32(cfg.block_of[t]));
-      if (last + 1 < n) cfg.successors[b].push_back(u32(cfg.block_of[last + 1]));
-    }
-  }
-  return cfg;
 }
 
 // ---- Pass 1+2: block-local copy propagation & constant folding -----------
@@ -667,61 +411,6 @@ std::optional<ROp> fused_brif(ROp cmp, bool negate) {
     default: return std::nullopt;
   }
 }
-
-// ---- Liveness ---------------------------------------------------------------
-
-/// Per-instruction live-out sets (reg live immediately after the instruction
-/// executes, considering all CFG paths). O(n_instr * n_regs) memory, which is
-/// fine at RegCode function sizes.
-struct Liveness {
-  std::vector<std::vector<bool>> out;  // [instr][reg]
-  bool live_after(size_t i, u32 reg) const { return out[i][reg]; }
-};
-
-Liveness compute_liveness(const RFunc& f, const Cfg& cfg) {
-  const size_t n = f.code.size();
-  const size_t nb = cfg.leaders.size();
-  const u32 nregs = f.num_regs;
-  std::vector<std::vector<bool>> live_in(nb, std::vector<bool>(nregs, false));
-  std::vector<std::vector<bool>> block_out(nb, std::vector<bool>(nregs, false));
-  std::vector<u32> reads;
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t b = nb; b-- > 0;) {
-      std::vector<bool> out(nregs, false);
-      for (u32 s : cfg.successors[b])
-        for (u32 r = 0; r < nregs; ++r)
-          if (live_in[s][r]) out[r] = true;
-      std::vector<bool> in = out;
-      for (size_t i = cfg.block_end(b, n); i-- > cfg.block_start(b);) {
-        const RInstr& instr = f.code[i];
-        if (writes_dest(instr)) in[instr.a] = false;
-        collect_reads(instr, reads);
-        for (u32 r : reads) in[r] = true;
-      }
-      if (in != live_in[b]) { live_in[b] = in; changed = true; }
-      block_out[b] = out;
-    }
-  }
-
-  Liveness lv;
-  lv.out.assign(n, {});
-  for (size_t b = 0; b < nb; ++b) {
-    std::vector<bool> live = block_out[b];
-    for (size_t i = cfg.block_end(b, n); i-- > cfg.block_start(b);) {
-      const RInstr& instr = f.code[i];
-      lv.out[i] = live;
-      if (writes_dest(instr)) live[instr.a] = false;
-      collect_reads(instr, reads);
-      for (u32 r : reads) live[r] = true;
-    }
-  }
-  return lv;
-}
-
-// ---- Pass 3: peephole fusion ----------------------------------------------
 
 /// Ops whose a field is a pure destination that can be renamed: excludes
 /// ops that read r[a] (select family, memory.grow) and the calls, whose a

@@ -6,6 +6,8 @@
 #include <fstream>
 
 #include "runtime/cache.h"
+#include "runtime/jit_x64.h"
+#include "runtime/regcode_analysis.h"
 
 namespace mpiwasm::test {
 namespace {
@@ -369,6 +371,66 @@ TEST(Cache, CorruptEntryIsIgnoredAndRemoved) {
   rt::ImportTable imports;
   rt::Instance inst(again, imports);
   EXPECT_EQ(inst.invoke("run").as_i32(), 9);
+  fs::remove_all(dir);
+}
+
+TEST(Cache, OutOfFrameOperandsAreRejectedAndRecompiled) {
+  // A corrupt or hostile record whose operands name slots outside its own
+  // frame would read and write past the frame allocation. The loader must
+  // treat it as corrupt (miss + recompile), and the JIT must refuse it.
+  auto dir = fresh_cache_dir();
+  auto bytes = make_module(41);
+  EngineConfig cfg;
+  cfg.tier = EngineTier::kJit;
+  cfg.jit = true;
+  cfg.enable_cache = true;
+  cfg.cache_dir = dir;
+  auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
+  ASSERT_FALSE(cm->loaded_from_cache);
+  const rt::RFunc good = cm->regcode.funcs[0];
+  ASSERT_TRUE(rt::operands_in_range(good));
+  const u32 nregs = good.num_regs;
+
+  const std::vector<std::function<void(rt::RFunc&)>> corruptions = {
+      [&](rt::RFunc& f) { f.code[0].a = nregs; },           // dest
+      [&](rt::RFunc& f) { f.code.back().a = nregs + 100; },  // return operand
+      [&](rt::RFunc& f) { f.num_params = f.num_locals + 1; },
+      [&](rt::RFunc& f) { f.num_locals = nregs + 1; },
+      [&](rt::RFunc& f) {  // call argument window runs past the frame
+        f.code.insert(f.code.begin(), {rt::ROp::kCall, nregs - 1, 2, 0, 0, 0});
+      },
+  };
+  for (size_t k = 0; k < corruptions.size(); ++k) {
+    rt::RFunc bad = good;
+    bad.jit = nullptr;
+    corruptions[k](bad);
+    EXPECT_FALSE(rt::operands_in_range(bad)) << "corruption " << k;
+    EXPECT_EQ(rt::jit_compile_function(bad), nullptr) << "corruption " << k;
+    auto one = rt::serialize_rfunc(bad);
+    EXPECT_FALSE(rt::deserialize_rfunc({one.data(), one.size()}).has_value())
+        << "corruption " << k;
+
+    // Planted as the module's cache entry: rejected, recompiled, rewritten.
+    rt::RModule rm;
+    rm.funcs.push_back(bad);
+    auto entry_bytes = rt::serialize_regcode(rm);
+    size_t entries = 0;
+    for (const auto& e : fs::directory_iterator(dir)) {
+      if (e.path().extension() != ".rcache") continue;
+      std::ofstream out(e.path(), std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(entry_bytes.data()),
+                std::streamsize(entry_bytes.size()));
+      ++entries;
+    }
+    ASSERT_EQ(entries, 1u);
+    auto again = rt::compile({bytes.data(), bytes.size()}, cfg);
+    EXPECT_FALSE(again->loaded_from_cache) << "corruption " << k;
+    rt::ImportTable imports;
+    rt::Instance inst(again, imports);
+    EXPECT_EQ(inst.invoke("run").as_i32(), 41) << "corruption " << k;
+    auto third = rt::compile({bytes.data(), bytes.size()}, cfg);
+    EXPECT_TRUE(third->loaded_from_cache) << "corruption " << k;
+  }
   fs::remove_all(dir);
 }
 
