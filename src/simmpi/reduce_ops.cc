@@ -2,18 +2,29 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 namespace mpiwasm::simmpi {
 namespace {
 
+/// Arithmetic type for kSum/kProd: signed integers wrap in two's
+/// complement (as MPI implementations do) by computing in their unsigned
+/// twin, since signed overflow is undefined behaviour.
+template <typename T>
+using ArithOf =
+    typename std::conditional_t<std::is_integral_v<T> && std::is_signed_v<T>,
+                                std::make_unsigned<T>,
+                                std::type_identity<T>>::type;
+
 template <typename T>
 void apply_typed(ReduceOp op, const T* in, T* inout, int count) {
+  using A = ArithOf<T>;
   switch (op) {
     case ReduceOp::kSum:
-      for (int i = 0; i < count; ++i) inout[i] = T(inout[i] + in[i]);
+      for (int i = 0; i < count; ++i) inout[i] = T(A(inout[i]) + A(in[i]));
       break;
     case ReduceOp::kProd:
-      for (int i = 0; i < count; ++i) inout[i] = T(inout[i] * in[i]);
+      for (int i = 0; i < count; ++i) inout[i] = T(A(inout[i]) * A(in[i]));
       break;
     case ReduceOp::kMax:
       for (int i = 0; i < count; ++i) inout[i] = std::max(inout[i], in[i]);

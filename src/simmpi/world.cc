@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "simmpi/coll_sched.h"
 #include "simmpi/coll_tune.h"
 #include "support/log.h"
@@ -16,6 +20,32 @@ thread_local Rank* tl_current_rank = nullptr;
 
 /// Deadlock watchdog (types.h kDeadlockTimeout; shared with mpi_host.cc).
 constexpr auto kBlockTimeout = kDeadlockTimeout;
+/// How long a blocked p2p wait spins on its mailbox's signal word before
+/// parking on the cv. A peer's message that lands within this window costs
+/// no futex sleep/wake round trip; a later one costs the same as a plain
+/// park plus this much CPU.
+constexpr u64 kSpinBudgetNs = 20'000;
+
+/// Spin-loop hint: frees pipeline resources for the sibling hyperthread.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// CPUs the calling thread may run on: its affinity mask where the platform
+/// exposes one (taskset, cpusets), else hardware_concurrency(); 0 when
+/// unknown. Rank threads inherit the mask of the thread that runs the world.
+unsigned usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0)
+    return unsigned(CPU_COUNT(&set));
+#endif
+  return std::thread::hardware_concurrency();
+}
 
 bool key_matches(const detail::RecvDesc& r, const detail::SendDesc& s) {
   return r.comm_id == s.comm_id &&
@@ -51,10 +81,10 @@ void deliver_now(detail::Mailbox& box, detail::RecvDesc& r, const void* buf,
                  size_t bytes, int src_comm_rank, int tag) {
   size_t n = std::min(bytes, r.capacity);
   if (bytes > r.capacity) r.truncated = true;
-  std::memcpy(r.dst, buf, n);
+  if (n > 0) std::memcpy(r.dst, buf, n);  // zero-byte buffers may be null
   r.status = Status{src_comm_rank, tag, n};
   r.done = true;
-  box.cv.notify_all();
+  box.signal();
 }
 
 /// Drains every matched pipelined send: copies the segments whose wire
@@ -88,7 +118,7 @@ void pump_pipelines(detail::Mailbox& box) {
       ++it;
     }
   }
-  if (completed_any) box.cv.notify_all();
+  if (completed_any) box.signal();
 }
 
 }  // namespace
@@ -139,6 +169,8 @@ void CollectiveContext::barrier_wait(World& world) {
 World::World(int size, NetworkProfile profile, CollTuning coll)
     : size_(size), profile_(std::move(profile)), coll_(std::move(coll)) {
   MW_CHECK(size >= 1, "world size must be >= 1");
+  const unsigned cpus = usable_cpus();
+  spin_waits_ = cpus != 0 && unsigned(size_) <= cpus;
   boxes_.reserve(size_);
   for (int i = 0; i < size_; ++i)
     boxes_.push_back(std::make_unique<detail::Mailbox>());
@@ -201,7 +233,7 @@ void World::request_abort(int code) {
   abort_code_ = code;
   for (auto& b : boxes_) {
     std::lock_guard<std::mutex> lock(b->mu);
-    b->cv.notify_all();
+    b->signal();
   }
 }
 
@@ -381,12 +413,27 @@ Request Rank::start_icoll(std::shared_ptr<coll::Schedule> sched) {
 template <typename Pred>
 bool Rank::wait_with_progress(detail::Mailbox& box,
                               std::unique_lock<std::mutex>& lock, Pred pred) {
+  const u64 start = now_ns();
   const u64 deadline =
-      now_ns() + u64(std::chrono::nanoseconds(kBlockTimeout).count());
+      start + u64(std::chrono::nanoseconds(kBlockTimeout).count());
+  const u64 spin_until = world_->spin_waits() ? start + kSpinBudgetNs : 0;
   while (!pred()) {
     if (now_ns() > deadline) return false;
     if (icoll_count_.load(std::memory_order_relaxed) == 0 &&
         box.draining.empty()) {
+      if (now_ns() < spin_until) {
+        // Spin phase: every state change a waiter can observe goes through
+        // box.signal(), so an unchanged word means pred() cannot have
+        // turned. The snapshot is taken under the lock and pred() is
+        // re-checked under it after the spin, so no wake is lost.
+        const u64 seen = box.seq.load(std::memory_order_relaxed);
+        lock.unlock();
+        while (box.seq.load(std::memory_order_acquire) == seen &&
+               !world_->aborting() && now_ns() < spin_until)
+          cpu_relax();
+        lock.lock();
+        continue;
+      }
       // Nothing to poll: a peer's notify is the only wake source. Pipelined
       // sends matched while we sleep wake us via the draining clause so we
       // fall through into the polling branch below. With multiple guest
@@ -474,7 +521,7 @@ void Rank::send_internal(const void* buf, size_t bytes, int dest, int tag,
     desc->eager_buf.assign(static_cast<const u8*>(buf),
                            static_cast<const u8*>(buf) + bytes);
     box.unexpected.push_back(std::move(desc));
-    box.cv.notify_all();
+    box.signal();
     return;  // eager send completes locally
   }
   // Rendezvous: park the sender's buffer pointer and wait for the receiver
@@ -482,7 +529,7 @@ void Rank::send_internal(const void* buf, size_t bytes, int dest, int tag,
   desc->eager = false;
   desc->payload = static_cast<const u8*>(buf);
   box.unexpected.push_back(desc);
-  box.cv.notify_all();
+  box.signal();
   bool ok = wait_with_progress(box, lock, [&] {
     return desc->completed || world_->aborting();
   });
@@ -562,12 +609,11 @@ Status Rank::recv_internal(void* buf, size_t bytes, int source, int tag,
     }
     return desc->status;
   }
-  if (s->eager) {
-    std::memcpy(buf, s->eager_buf.data(), n);
-  } else {
-    std::memcpy(buf, s->payload, n);
+  if (n > 0)  // zero-byte buffers may be null
+    std::memcpy(buf, s->eager ? s->eager_buf.data() : s->payload, n);
+  if (!s->eager) {
     s->completed = true;
-    box.cv.notify_all();  // wake the rendezvous sender
+    box.signal();  // wake the rendezvous sender
   }
   return Status{s->src_comm_rank, s->tag, n};
 }
@@ -656,7 +702,7 @@ Request Rank::isend_internal(const void* buf, size_t bytes, int dest, int tag,
     } else {
       box.unexpected.push_back(desc);
     }
-    box.cv.notify_all();
+    box.signal();
     return req;
   }
   if (bytes <= prof.eager_limit || prof.force_copy) {
@@ -665,7 +711,7 @@ Request Rank::isend_internal(const void* buf, size_t bytes, int dest, int tag,
                            static_cast<const u8*>(buf) + bytes);
     desc->completed = true;  // buffered: sender side is done
     box.unexpected.push_back(std::move(desc));
-    box.cv.notify_all();
+    box.signal();
     // A buffered send is complete the moment the staging copy exists, so
     // hand back a trivially-complete request: every later test()/wait()
     // short-circuits without touching the destination mailbox lock (the
@@ -675,7 +721,7 @@ Request Rank::isend_internal(const void* buf, size_t bytes, int dest, int tag,
   desc->eager = false;
   desc->payload = static_cast<const u8*>(buf);
   box.unexpected.push_back(desc);
-  box.cv.notify_all();
+  box.signal();
   return req;
 }
 
@@ -718,19 +764,16 @@ Request Rank::irecv_internal(void* buf, size_t bytes, int source, int tag,
       box.draining.push_back(std::move(found));
       paired = true;
       pump_pipelines(box);
-      box.cv.notify_all();
+      box.signal();
       break;
     }
-    if (s.eager) {
-      std::memcpy(buf, s.eager_buf.data(), n);
-    } else {
-      std::memcpy(buf, s.payload, n);
-      s.completed = true;
-    }
+    if (n > 0)  // zero-byte buffers may be null
+      std::memcpy(buf, s.eager ? s.eager_buf.data() : s.payload, n);
+    if (!s.eager) s.completed = true;
     desc->status = Status{s.src_comm_rank, s.tag, n};
     desc->done = true;
     box.unexpected.erase(it);
-    box.cv.notify_all();
+    box.signal();
     break;
   }
   if (!desc->done && !paired) box.posted.push_back(desc);

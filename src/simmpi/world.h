@@ -77,12 +77,23 @@ struct RecvDesc {
 struct Mailbox {
   std::mutex mu;
   std::condition_variable cv;
+  /// Bumped by every signal(). A blocked waiter snapshots it under `mu`,
+  /// drops the lock and spins until it changes before parking on `cv`
+  /// (Rank::wait_with_progress).
+  std::atomic<u64> seq{0};
   std::deque<std::shared_ptr<SendDesc>> unexpected;
   std::deque<std::shared_ptr<RecvDesc>> posted;
   /// Matched pipelined sends still streaming segments into their sink.
   /// Any rank that takes `mu` pumps these (pump under lock is cheap: at
   /// most a memcpy of the newly visible prefix).
   std::deque<std::shared_ptr<SendDesc>> draining;
+
+  /// Announces a state change to this mailbox's waiters, spinning or
+  /// parked. Caller holds `mu`.
+  void signal() {
+    seq.fetch_add(1, std::memory_order_release);
+    cv.notify_all();
+  }
 };
 
 struct CommData {
@@ -419,6 +430,12 @@ class World {
   void set_threaded() { threaded_.store(true, std::memory_order_relaxed); }
   bool threaded() const { return threaded_.load(std::memory_order_relaxed); }
 
+  /// Whether blocking waits spin briefly on the mailbox signal word before
+  /// parking. False when the world has more ranks than the constructing
+  /// thread may run on CPUs (affinity mask, else hardware threads): there
+  /// the peer that would end the wait needs the spinner's core.
+  bool spin_waits() const { return spin_waits_; }
+
   // --- internals used by Rank ---------------------------------------------
   detail::Mailbox& box(int world_rank) { return *boxes_[world_rank]; }
   i32 alloc_comm_ids(i32 n);
@@ -454,6 +471,7 @@ class World {
   std::atomic<bool> abort_flag_{false};
   std::atomic<int> abort_code_{0};
   std::atomic<bool> threaded_{false};
+  bool spin_waits_ = false;
 
   struct CollEntry {
     std::shared_ptr<CollectiveContext> ctx;

@@ -217,6 +217,25 @@ TEST(ReduceOps, LogicalOps) {
   EXPECT_EQ(b[2], 0);
 }
 
+TEST(ReduceOps, SignedSumWrapsLikeTwosComplement) {
+  // MPI_SUM over signed integers wraps instead of overflowing (signed
+  // overflow would be undefined behaviour in the reduction loop).
+  World world(2);
+  world.run([](Rank& r) {
+    const i32 in32 = r.rank() == 0 ? INT32_MAX : 1;
+    i32 out32 = 0;
+    r.allreduce(&in32, &out32, 1, Datatype::kInt, ReduceOp::kSum);
+    EXPECT_EQ(out32, INT32_MIN);
+    const i64 in64 = r.rank() == 0 ? INT64_MAX : 1;
+    i64 out64 = 0;
+    r.allreduce(&in64, &out64, 1, Datatype::kLongLong, ReduceOp::kSum);
+    EXPECT_EQ(out64, INT64_MIN);
+  });
+  i32 a = INT32_MAX, b = 2;
+  apply_reduce(ReduceOp::kProd, Datatype::kInt, &a, &b, 1);
+  EXPECT_EQ(b, -2);
+}
+
 TEST(ReduceOps, BitwiseOnFloatThrows) {
   f32 a = 1, b = 2;
   EXPECT_THROW(apply_reduce(ReduceOp::kBand, Datatype::kFloat, &a, &b, 1),

@@ -2,10 +2,18 @@
 // rules (tags, wildcards, FIFO), eager vs rendezvous protocols, errors.
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "simmpi/api.h"
 #include "simmpi/world.h"
+#include "support/timing.h"
 
 namespace mpiwasm::simmpi {
 namespace {
@@ -241,6 +249,179 @@ TEST(SimMpiP2P, SelfSendViaNonblocking) {
     r.wait(rr);
     EXPECT_EQ(out, 5);
   });
+}
+
+TEST(SimMpiP2P, ZeroByteMessagesWithNullBuffers) {
+  // A count-0 message may carry null buffers on both sides; each delivery
+  // path must complete it without touching them.
+  World world(2);
+  world.run([](Rank& r) {
+    auto expect_empty = [](const Status& st, int tag) {
+      EXPECT_EQ(st.source, 0);
+      EXPECT_EQ(st.tag, tag);
+      EXPECT_EQ(st.count(Datatype::kInt), 0);
+    };
+    if (r.rank() == 0) {
+      r.barrier();  // 1: receiver has posted tag 1
+      r.send(nullptr, 0, Datatype::kInt, 1, 1);
+      r.send(nullptr, 0, Datatype::kInt, 1, 2);
+      r.send(nullptr, 0, Datatype::kInt, 1, 3);
+      r.barrier();  // 2: tags 2 and 3 sit in the unexpected queue
+    } else {
+      // Posted receive: the sender's delivery copies straight into it.
+      Request posted = r.irecv(nullptr, 0, Datatype::kInt, 0, 1);
+      r.barrier();
+      r.barrier();
+      expect_empty(r.wait(posted), 1);
+      // Unexpected eager message matched by a blocking receive.
+      expect_empty(r.recv(nullptr, 0, Datatype::kInt, 0, 2), 2);
+      // Unexpected eager message matched at irecv time.
+      Request late = r.irecv(nullptr, 0, Datatype::kInt, 0, 3);
+      expect_empty(r.wait(late), 3);
+    }
+  });
+}
+
+/// Payload of ping-pong round `round` sent by `rank`: distinct per round
+/// and direction, so a stale or crossed message fails the check.
+u64 pingpong_word(int round, int rank) {
+  return (u64(round) << 8) ^ (u64(rank) << 62) ^ 0x5a5a5a5aull;
+}
+
+// 8-byte ping-pong with the receive posted before the message is sent:
+// every delivery matches a posted receive, and every wait that has to
+// block goes through the spin on the mailbox signal word.
+TEST(SimMpiP2P, PingPongReceivePostedFirst) {
+  constexpr int kRounds = 10000;
+  World world(2);
+  world.run([](Rank& r) {
+    const int me = r.rank(), peer = 1 - me;
+    u64 in = 0;
+    Request req = r.irecv(&in, 1, Datatype::kLongLong, peer, 0);
+    r.barrier();  // both receives are posted before the first send
+    for (int k = 0; k < kRounds; ++k) {
+      if (me == 0) {
+        const u64 out = pingpong_word(k, me);
+        r.send(&out, 1, Datatype::kLongLong, peer, 0);
+        r.wait(req);
+        ASSERT_EQ(in, pingpong_word(k, peer)) << "round " << k;
+        if (k + 1 < kRounds)
+          req = r.irecv(&in, 1, Datatype::kLongLong, peer, 0);
+      } else {
+        r.wait(req);
+        ASSERT_EQ(in, pingpong_word(k, peer)) << "round " << k;
+        if (k + 1 < kRounds)
+          req = r.irecv(&in, 1, Datatype::kLongLong, peer, 0);
+        const u64 out = pingpong_word(k, me);
+        r.send(&out, 1, Datatype::kLongLong, peer, 0);
+      }
+    }
+  });
+}
+
+// The same exchange with the send issued before the receive is posted:
+// the reply is often already queued as an unexpected message when the
+// blocking receive starts, or lands while it spins.
+TEST(SimMpiP2P, PingPongSendFirst) {
+  constexpr int kRounds = 10000;
+  World world(2);
+  world.run([](Rank& r) {
+    const int me = r.rank(), peer = 1 - me;
+    for (int k = 0; k < kRounds; ++k) {
+      const u64 out = pingpong_word(k, me);
+      u64 in = 0;
+      r.send(&out, 1, Datatype::kLongLong, peer, 0);
+      r.recv(&in, 1, Datatype::kLongLong, peer, 0);
+      ASSERT_EQ(in, pingpong_word(k, peer)) << "round " << k;
+    }
+  });
+}
+
+TEST(SimMpiP2P, LateSenderWakesParkedReceiver) {
+  // The sender shows up well after the receiver's spin budget is spent, so
+  // the receive must be delivered through the park/wake fallback.
+  World world(2);
+  world.run([](Rank& r) {
+    if (r.rank() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      int v = 4242;
+      r.send(&v, 1, Datatype::kInt, 1, 7);
+    } else {
+      int v = 0;
+      const Status st = r.recv(&v, 1, Datatype::kInt, 0, 7);
+      EXPECT_EQ(v, 4242);
+      EXPECT_EQ(st.source, 0);
+    }
+  });
+}
+
+TEST(SimMpiP2P, AbortUnblocksPeerInsideSpin) {
+  // Rank 1 aborts the moment rank 0's receive is posted, i.e. while rank 0
+  // is (almost always) still in its spin phase; the spin must notice the
+  // abort without waiting out a park.
+  World world(2);
+  std::atomic<u64> unblocked_ns{0};
+  EXPECT_THROW(world.run([&](Rank& r) {
+    if (r.rank() == 0) {
+      int v;
+      const u64 t0 = now_ns();
+      try {
+        r.recv(&v, 1, Datatype::kInt, 1, 0);
+      } catch (const MpiAbort&) {
+        unblocked_ns = now_ns() - t0;
+        throw;
+      }
+    } else {
+      detail::Mailbox& box = r.world().box(0);
+      while (true) {
+        std::lock_guard<std::mutex> lock(box.mu);
+        if (!box.posted.empty()) break;
+      }
+      r.abort(3);
+    }
+  }),
+               MpiError);
+  EXPECT_GT(unblocked_ns.load(), 0u);
+  EXPECT_LT(unblocked_ns.load(), u64(5'000'000'000));  // far below the watchdog
+}
+
+TEST(SimMpiP2P, RendezvousSendWaitsForLateReceiver) {
+  // A rendezvous sender blocks until the receiver copies its buffer; a
+  // receiver arriving after the spin budget wakes it from the park.
+  World world(2);
+  world.run([](Rank& r) {
+    const size_t n = 1 << 20;  // above the eager limit
+    if (r.rank() == 0) {
+      std::vector<u8> buf(n);
+      for (size_t i = 0; i < n; ++i) buf[i] = u8(i * 7 + 1);
+      r.send(buf.data(), int(n), Datatype::kByte, 1, 4);
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      std::vector<u8> buf(n, 0);
+      r.recv(buf.data(), int(n), Datatype::kByte, 0, 4);
+      for (size_t i = 0; i < n; ++i) ASSERT_EQ(buf[i], u8(i * 7 + 1));
+    }
+  });
+}
+
+TEST(SimMpiP2P, SpinWaitsOnlyWithoutOversubscription) {
+  // Constructing a World starts no threads, so the oversubscribed case is
+  // checked without running it.
+  EXPECT_TRUE(World(1).spin_waits());
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw > 0) EXPECT_FALSE(World(int(hw) + 1).spin_waits());
+#if defined(__linux__)
+  // Pinned to one CPU (taskset, cpusets), a second rank oversubscribes it
+  // however many cores the host has.
+  std::thread([] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(sched_getcpu(), &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    EXPECT_TRUE(World(1).spin_waits());
+    EXPECT_FALSE(World(2).spin_waits());
+  }).join();
+#endif
 }
 
 }  // namespace
