@@ -43,7 +43,6 @@ RunResult Embedder::run_world(std::shared_ptr<const rt::CompiledModule> cm,
   result.compile_ms = cm->compile_ms;
   result.loaded_from_cache = cm->loaded_from_cache;
 
-  auto shared_state = std::make_shared<SharedHandleState>();
   // The learned collective table persists next to the JIT code cache so a
   // warm run starts on the previously measured winners.
   simmpi::CollTuning coll = config_.coll;
@@ -57,10 +56,10 @@ RunResult Embedder::run_world(std::shared_ptr<const rt::CompiledModule> cm,
   world.run([&](simmpi::Rank& rank) {
     if (trace::active()) trace::set_thread_label("rank", rank.world_rank());
     Stopwatch rank_wall;
-    // Per-rank embedder instance state (paper §4.3: "each MPI rank
-    // corresponds to one instance of the embedder with its own module").
-    Env env(&rank, shared_state, config_.zero_copy,
-            config_.record_translation);
+    // Per-rank embedder instance state, handle table included (paper §4.3:
+    // "each MPI rank corresponds to one instance of the embedder with its
+    // own module").
+    Env env(&rank, config_.zero_copy, config_.record_translation);
 
     wasi::WasiConfig wcfg;
     wcfg.args = config_.args;

@@ -13,7 +13,7 @@ namespace {
 }
 }  // namespace
 
-SharedHandleState::SharedHandleState() {
+HandleTable::HandleTable() {
   // Static content mirrors the custom mpi.h (abi.h); the indirection is
   // deliberately kept even though values happen to align — the module ABI
   // and the host library are allowed to diverge (§3.6).
@@ -40,59 +40,57 @@ SharedHandleState::SharedHandleState() {
   comms_ = {{abi::MPI_COMM_WORLD, simmpi::kCommWorld}};
 }
 
-simmpi::Datatype SharedHandleState::lookup_datatype(i32 handle) const {
+simmpi::Datatype HandleTable::lookup_datatype(i32 handle) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = datatypes_.find(handle);
   if (it == datatypes_.end()) bad_handle("datatype", handle);
   return it->second;
 }
 
-simmpi::ReduceOp SharedHandleState::lookup_op(i32 handle) const {
+simmpi::ReduceOp HandleTable::lookup_op(i32 handle) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = ops_.find(handle);
   if (it == ops_.end()) bad_handle("op", handle);
   return it->second;
 }
 
-simmpi::Comm SharedHandleState::lookup_comm(i32 handle) const {
+simmpi::Comm HandleTable::lookup_comm(i32 handle) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = comms_.find(handle);
   if (it == comms_.end()) bad_handle("communicator", handle);
   return it->second;
 }
 
-i32 SharedHandleState::intern_comm(simmpi::Comm host_comm) {
+i32 HandleTable::intern_comm(simmpi::Comm host_comm) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   // Module handle == host id; the table still mediates every lookup.
   comms_[host_comm] = host_comm;
   return host_comm;
 }
 
-Env::Env(simmpi::Rank* rank, std::shared_ptr<SharedHandleState> shared,
-         bool zero_copy, bool record_translation)
+Env::Env(simmpi::Rank* rank, bool zero_copy, bool record_translation)
     : rank_(rank),
-      shared_(std::move(shared)),
       zero_copy_(zero_copy),
       record_translation_(record_translation) {}
 
 simmpi::Datatype Env::translate_datatype(i32 handle, u64 msg_bytes_hint) {
   if (record_translation_) {
     u64 t0 = now_ns();
-    simmpi::Datatype dt = shared_->lookup_datatype(handle);
+    simmpi::Datatype dt = handles_.lookup_datatype(handle);
     u64 t1 = now_ns();
     std::lock_guard<std::mutex> lock(req_mu_);
     samples_.push_back({handle, msg_bytes_hint, t1 - t0});
     return dt;
   }
-  return shared_->lookup_datatype(handle);
+  return handles_.lookup_datatype(handle);
 }
 
 simmpi::ReduceOp Env::translate_op(i32 handle) {
-  return shared_->lookup_op(handle);
+  return handles_.lookup_op(handle);
 }
 
 simmpi::Comm Env::translate_comm(i32 handle) {
-  return shared_->lookup_comm(handle);
+  return handles_.lookup_comm(handle);
 }
 
 i32 Env::add_request(simmpi::Request req) {

@@ -1,16 +1,18 @@
-// Env: MPIWasm's per-world translation state (paper §3.7).
+// Env: MPIWasm's per-rank translation state (paper §3.7).
 //
 // The paper's Env stores "the global state required by these translations":
 // information about the module's memory (its base pointer, §3.5) and the
 // datatype/communicator/op structures the embedder creates on behalf of
-// the module (§3.6). Lookups take a read lock on a shared_mutex — the
-// measured ~85-105ns translation overhead of Figure 6, and the source of
-// the Allreduce-frequency scaling effect of §4.5, both live here.
+// the module (§3.6). The paper runs one embedder process, and so one Env,
+// per rank (§4.3); here each rank thread's Env owns its handle table in the
+// same way. Lookups take a read lock on the table's shared_mutex, which only
+// the guest threads of one rank share (MPI_THREAD_MULTIPLE), so Figure 6
+// times an uncontended read-lock acquisition plus a hash lookup, as the
+// paper's per-process tables do.
 #pragma once
 
 #include <atomic>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
@@ -30,12 +32,11 @@ struct TranslationSample {
   u64 ns = 0;
 };
 
-/// World-shared translation tables. All ranks of a run consult the same
-/// tables under a reader-writer lock, exactly the design whose read-lock
-/// acquisition cost the paper measures (§4.6).
-class SharedHandleState {
+/// One rank's translation tables, under a reader-writer lock that the
+/// rank's guest threads share; no other rank ever takes it.
+class HandleTable {
  public:
-  SharedHandleState();
+  HandleTable();
 
   /// Datatype handle -> host datatype (throws Trap(kHostError) on bad id).
   simmpi::Datatype lookup_datatype(i32 handle) const;
@@ -57,8 +58,7 @@ class SharedHandleState {
 /// Instance::user_data.
 class Env {
  public:
-  Env(simmpi::Rank* rank, std::shared_ptr<SharedHandleState> shared,
-      bool zero_copy, bool record_translation);
+  Env(simmpi::Rank* rank, bool zero_copy, bool record_translation);
 
   simmpi::Rank& rank() { return *rank_; }
   bool zero_copy() const { return zero_copy_; }
@@ -76,7 +76,9 @@ class Env {
   simmpi::Datatype translate_datatype(i32 handle, u64 msg_bytes_hint);
   simmpi::ReduceOp translate_op(i32 handle);
   simmpi::Comm translate_comm(i32 handle);
-  i32 intern_comm(simmpi::Comm host_comm) { return shared_->intern_comm(host_comm); }
+  i32 intern_comm(simmpi::Comm host_comm) {
+    return handles_.intern_comm(host_comm);
+  }
 
   // --- Request table (rank-local; requests are not shared across ranks,
   // but the guest threads of one rank share it under MPI_THREAD_MULTIPLE,
@@ -107,7 +109,7 @@ class Env {
 
  private:
   simmpi::Rank* rank_;
-  std::shared_ptr<SharedHandleState> shared_;
+  HandleTable handles_;
   bool zero_copy_;
   bool record_translation_;
   std::mutex req_mu_;  // guards requests_/next_request_/samples_

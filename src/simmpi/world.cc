@@ -25,6 +25,16 @@ constexpr auto kBlockTimeout = kDeadlockTimeout;
 /// no futex sleep/wake round trip; a later one costs the same as a plain
 /// park plus this much CPU.
 constexpr u64 kSpinBudgetNs = 20'000;
+/// How long a blocked p2p wait in an oversubscribed world (no spin phase)
+/// yields its core before parking: the peer that ends the wait usually
+/// needs that core, and a yield hands it over without the futex sleep/wake
+/// round trip and scheduler wake-up latency that a park adds.
+constexpr u64 kYieldBudgetNs = 50'000;
+/// Pause-hinted polls of a held mailbox lock before the contender falls
+/// back to yielding (detail::SpinMutex). A holder's critical section is a
+/// few queue matches and at most one copy, so it usually ends well within
+/// this.
+constexpr u32 kLockSpins = 256;
 
 /// Spin-loop hint: frees pipeline resources for the sibling hyperthread.
 inline void cpu_relax() {
@@ -123,6 +133,22 @@ void pump_pipelines(detail::Mailbox& box) {
 
 }  // namespace
 
+void detail::SpinMutex::lock_contended() {
+  u32 spins = spin_ ? 0 : kLockSpins;
+  do {
+    // Test before test-and-set: polling with plain loads keeps the line
+    // shared instead of bouncing it between contenders.
+    while (held_.load(std::memory_order_relaxed)) {
+      if (spins < kLockSpins) {
+        ++spins;
+        cpu_relax();
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  } while (held_.exchange(true, std::memory_order_acquire));
+}
+
 // ---------------------------------------------------------------------------
 // CollectiveContext
 // ---------------------------------------------------------------------------
@@ -173,7 +199,7 @@ World::World(int size, NetworkProfile profile, CollTuning coll)
   spin_waits_ = cpus != 0 && unsigned(size_) <= cpus;
   boxes_.reserve(size_);
   for (int i = 0; i < size_; ++i)
-    boxes_.push_back(std::make_unique<detail::Mailbox>());
+    boxes_.push_back(std::make_unique<detail::Mailbox>(spin_waits_));
   if (coll_.autotune) {
     tuner_ = std::make_unique<coll::Autotuner>(coll::Autotuner::host_signature(
         int(std::thread::hardware_concurrency()), profile_.name, size_));
@@ -232,7 +258,7 @@ void World::request_abort(int code) {
   abort_flag_ = true;
   abort_code_ = code;
   for (auto& b : boxes_) {
-    std::lock_guard<std::mutex> lock(b->mu);
+    std::lock_guard<detail::SpinMutex> lock(b->mu);
     b->signal();
   }
 }
@@ -412,25 +438,38 @@ Request Rank::start_icoll(std::shared_ptr<coll::Schedule> sched) {
 
 template <typename Pred>
 bool Rank::wait_with_progress(detail::Mailbox& box,
-                              std::unique_lock<std::mutex>& lock, Pred pred) {
+                              std::unique_lock<detail::SpinMutex>& lock,
+                              Pred pred) {
   const u64 start = now_ns();
   const u64 deadline =
       start + u64(std::chrono::nanoseconds(kBlockTimeout).count());
-  const u64 spin_until = world_->spin_waits() ? start + kSpinBudgetNs : 0;
+  const bool spin = world_->spin_waits();
+  const u64 spin_until = start + (spin ? kSpinBudgetNs : kYieldBudgetNs);
+  // Every park registers in box.parked so signal() knows to notify.
+  auto park = [&](auto timeout, auto wake) {
+    ++box.parked;
+    box.cv.wait_for(lock, timeout, wake);
+    --box.parked;
+  };
   while (!pred()) {
     if (now_ns() > deadline) return false;
     if (icoll_count_.load(std::memory_order_relaxed) == 0 &&
         box.draining.empty()) {
       if (now_ns() < spin_until) {
-        // Spin phase: every state change a waiter can observe goes through
-        // box.signal(), so an unchanged word means pred() cannot have
-        // turned. The snapshot is taken under the lock and pred() is
-        // re-checked under it after the spin, so no wake is lost.
+        // Spin phase (yield phase when oversubscribed): every state change
+        // a waiter can observe goes through box.signal(), so an unchanged
+        // word means pred() cannot have turned. The snapshot is taken under
+        // the lock and pred() is re-checked under it after the spin, so no
+        // wake is lost.
         const u64 seen = box.seq.load(std::memory_order_relaxed);
         lock.unlock();
         while (box.seq.load(std::memory_order_acquire) == seen &&
-               !world_->aborting() && now_ns() < spin_until)
-          cpu_relax();
+               !world_->aborting() && now_ns() < spin_until) {
+          if (spin)
+            cpu_relax();
+          else
+            std::this_thread::yield();
+        }
         lock.lock();
         continue;
       }
@@ -440,11 +479,10 @@ bool Rank::wait_with_progress(detail::Mailbox& box,
       // threads per rank a sibling may initiate a nonblocking collective
       // while we sleep (its start does not notify our mailbox cv), so the
       // wait is bounded to a ~1ms quantum to re-check icoll_count_.
-      box.cv.wait_for(lock,
-                      world_->threaded()
-                          ? std::chrono::nanoseconds(std::chrono::milliseconds(1))
-                          : std::chrono::nanoseconds(kBlockTimeout),
-                      [&] { return pred() || !box.draining.empty(); });
+      park(world_->threaded()
+               ? std::chrono::nanoseconds(std::chrono::milliseconds(1))
+               : std::chrono::nanoseconds(kBlockTimeout),
+           [&] { return pred() || !box.draining.empty(); });
       continue;
     }
     // Pipelined segments become visible by wire-time alone — poll them.
@@ -484,7 +522,7 @@ bool Rank::wait_with_progress(detail::Mailbox& box,
                          std::chrono::microseconds(1));
       }
     }
-    box.cv.wait_for(lock, quantum, pred);
+    park(quantum, pred);
   }
   return true;
 }
@@ -502,7 +540,7 @@ void Rank::send_internal(const void* buf, size_t bytes, int dest, int tag,
   spin_for_ns(prof.message_cost_ns(bytes));
 
   detail::Mailbox& box = world_->box(c.world_ranks[dest]);
-  std::unique_lock<std::mutex> lock(box.mu);
+  std::unique_lock<detail::SpinMutex> lock(box.mu);
 
   // Try to match an already-posted receive (fast path: copy straight from
   // the sender's buffer into the receiver's buffer — single copy).
@@ -546,7 +584,7 @@ Status Rank::recv_internal(void* buf, size_t bytes, int source, int tag,
       (source < 0 || source >= int(c.world_ranks.size())))
     throw MpiError("recv: source rank out of range");
   detail::Mailbox& box = world_->box(world_rank_);
-  std::unique_lock<std::mutex> lock(box.mu);
+  std::unique_lock<detail::SpinMutex> lock(box.mu);
 
   auto try_match = [&]() -> std::shared_ptr<detail::SendDesc> {
     for (auto it = box.unexpected.begin(); it != box.unexpected.end(); ++it) {
@@ -669,7 +707,7 @@ Request Rank::isend_internal(const void* buf, size_t bytes, int dest, int tag,
   const bool pipelined = !charge_wire && sched_send_pipelined(bytes);
 
   detail::Mailbox& box = world_->box(c.world_ranks[dest]);
-  std::unique_lock<std::mutex> lock(box.mu);
+  std::unique_lock<detail::SpinMutex> lock(box.mu);
 
   // Match a posted receive immediately if possible.
   auto posted = take_posted_match(box, c.id, c.my_comm_rank, tag);
@@ -737,7 +775,7 @@ Request Rank::irecv(void* buf, int count, Datatype type, int source, int tag,
 Request Rank::irecv_internal(void* buf, size_t bytes, int source, int tag,
                              const detail::CommData& c) {
   detail::Mailbox& box = world_->box(world_rank_);
-  std::unique_lock<std::mutex> lock(box.mu);
+  std::unique_lock<detail::SpinMutex> lock(box.mu);
 
   auto desc = std::make_shared<detail::RecvDesc>();
   desc->comm_id = c.id;
@@ -797,7 +835,7 @@ Status Rank::wait(Request& req) {
     return status;  // collective requests carry an empty status
   }
   detail::Mailbox& box = *req.box;
-  std::unique_lock<std::mutex> lock(box.mu);
+  std::unique_lock<detail::SpinMutex> lock(box.mu);
   if (req.kind_ == Request::Kind::kRecv) {
     bool ok = wait_with_progress(box, lock, [&] {
       return req.recv->done || world_->aborting();
@@ -830,7 +868,7 @@ bool Rank::test(Request& req, Status* status) {
     return true;
   }
   detail::Mailbox& box = *req.box;
-  std::lock_guard<std::mutex> lock(box.mu);
+  std::lock_guard<detail::SpinMutex> lock(box.mu);
   if (!box.draining.empty()) pump_pipelines(box);
   bool done = req.kind_ == Request::Kind::kRecv ? req.recv->done
                                                 : req.send->completed;
@@ -845,7 +883,7 @@ bool Rank::test(Request& req, Status* status) {
 bool Rank::test_nonblocking(Request& req) {
   if (!req.valid()) return true;
   detail::Mailbox& box = *req.box;
-  std::unique_lock<std::mutex> lock(box.mu, std::try_to_lock);
+  std::unique_lock<detail::SpinMutex> lock(box.mu, std::try_to_lock);
   if (!lock.owns_lock()) return false;  // contended: the owner is pumping
   if (!box.draining.empty()) pump_pipelines(box);
   const bool done = req.kind_ == Request::Kind::kRecv ? req.recv->done
@@ -891,7 +929,7 @@ bool Rank::request_get_status(Request& req, Status* status) {
     return true;
   }
   detail::Mailbox& box = *req.box;
-  std::lock_guard<std::mutex> lock(box.mu);
+  std::lock_guard<detail::SpinMutex> lock(box.mu);
   if (!box.draining.empty()) pump_pipelines(box);
   bool done = req.kind_ == Request::Kind::kRecv ? req.recv->done
                                                 : req.send->completed;
@@ -925,7 +963,7 @@ bool Rank::iprobe(int source, int tag, Comm comm, Status* status) {
   maybe_icoll_progress();
   const detail::CommData& c = comm_data(comm);
   detail::Mailbox& box = world_->box(world_rank_);
-  std::lock_guard<std::mutex> lock(box.mu);
+  std::lock_guard<detail::SpinMutex> lock(box.mu);
   for (const auto& s : box.unexpected) {
     if (s->comm_id != c.id) continue;
     if (source != kAnySource && s->src_comm_rank != source) continue;

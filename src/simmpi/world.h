@@ -73,13 +73,47 @@ struct RecvDesc {
   Status status;
 };
 
+/// Test-and-test-and-set lock for a mailbox's critical sections, which are
+/// a few queue matches and at most one copy. A contender spins with a pause
+/// hint for a bounded count (world.cc kLockSpins), then yields; it never
+/// sleeps in the kernel, so two ranks touching one mailbox at once cost a
+/// cache-line handoff instead of a futex sleep/wake round trip. Built with
+/// `spin` false (oversubscribed worlds) it yields at once: there the holder
+/// may need the contender's core to finish.
+class SpinMutex {
+ public:
+  explicit SpinMutex(bool spin) : spin_(spin) {}
+  SpinMutex(const SpinMutex&) = delete;
+  SpinMutex& operator=(const SpinMutex&) = delete;
+
+  void lock() {
+    if (!held_.exchange(true, std::memory_order_acquire)) return;
+    lock_contended();
+  }
+  bool try_lock() {
+    return !held_.load(std::memory_order_relaxed) &&
+           !held_.exchange(true, std::memory_order_acquire);
+  }
+  void unlock() { held_.store(false, std::memory_order_release); }
+
+ private:
+  void lock_contended();
+  std::atomic<bool> held_{false};
+  const bool spin_;
+};
+
 /// One per world rank: incoming traffic addressed to that rank.
 struct Mailbox {
-  std::mutex mu;
-  std::condition_variable cv;
+  explicit Mailbox(bool spin_lock) : mu(spin_lock) {}
+
+  SpinMutex mu;
+  std::condition_variable_any cv;
+  /// Waiters currently parked on `cv` (guarded by `mu`); signal() skips the
+  /// notify, and with it the cv's internal mutex, while this is zero.
+  int parked = 0;
   /// Bumped by every signal(). A blocked waiter snapshots it under `mu`,
-  /// drops the lock and spins until it changes before parking on `cv`
-  /// (Rank::wait_with_progress).
+  /// drops the lock and spins or yields until it changes before parking on
+  /// `cv` (Rank::wait_with_progress).
   std::atomic<u64> seq{0};
   std::deque<std::shared_ptr<SendDesc>> unexpected;
   std::deque<std::shared_ptr<RecvDesc>> posted;
@@ -92,7 +126,7 @@ struct Mailbox {
   /// parked. Caller holds `mu`.
   void signal() {
     seq.fetch_add(1, std::memory_order_release);
-    cv.notify_all();
+    if (parked > 0) cv.notify_all();
   }
 };
 
@@ -373,7 +407,8 @@ class Rank {
   /// waiting on this rank's share of a nonblocking collective.
   template <typename Pred>
   bool wait_with_progress(detail::Mailbox& box,
-                          std::unique_lock<std::mutex>& lock, Pred pred);
+                          std::unique_lock<detail::SpinMutex>& lock,
+                          Pred pred);
 
   World* world_ = nullptr;
   int world_rank_ = 0;
@@ -431,9 +466,11 @@ class World {
   bool threaded() const { return threaded_.load(std::memory_order_relaxed); }
 
   /// Whether blocking waits spin briefly on the mailbox signal word before
-  /// parking. False when the world has more ranks than the constructing
-  /// thread may run on CPUs (affinity mask, else hardware threads): there
-  /// the peer that would end the wait needs the spinner's core.
+  /// parking, and contended mailbox locks spin before yielding. False when
+  /// the world has more ranks than the constructing thread may run on CPUs
+  /// (affinity mask, else hardware threads): there the peer that would end
+  /// the wait needs the spinner's core, so waits yield for a bounded time
+  /// before parking and locks yield at once.
   bool spin_waits() const { return spin_waits_; }
 
   // --- internals used by Rank ---------------------------------------------

@@ -4,6 +4,7 @@
 #include "testlib.h"
 
 #include <set>
+#include <thread>
 
 #include "embedder/abi.h"
 #include "embedder/embedder.h"
@@ -285,7 +286,9 @@ TEST(EmbedderModes, TranslationInstrumentationCollectsSamples) {
   EXPECT_GE(seen.size(), 6u);
 }
 
-TEST(EmbedderModes, InvalidDatatypeHandleTraps) {
+// Builds a 1-rank module whose MPI_Allreduce passes the given datatype and
+// op handles.
+std::vector<u8> build_allreduce_handles_module(i32 datatype, i32 op) {
   using wasm::Op;
   wasm::ModuleBuilder b;
   MpiImportSet set;
@@ -301,13 +304,17 @@ TEST(EmbedderModes, InvalidDatatypeHandleTraps) {
   f.i32_const(1024);
   f.i32_const(2048);
   f.i32_const(1);
-  f.i32_const(999);  // bogus datatype handle
-  f.i32_const(abi::MPI_SUM);
+  f.i32_const(datatype);
+  f.i32_const(op);
   f.i32_const(abi::MPI_COMM_WORLD);
   f.call(mpi.allreduce);
   f.op(Op::kDrop);
   f.end();
-  auto bytes = b.build();
+  return b.build();
+}
+
+TEST(EmbedderModes, InvalidDatatypeHandleTraps) {
+  auto bytes = build_allreduce_handles_module(999, abi::MPI_SUM);  // bogus
   Embedder emb(EmbedderConfig{});
   EXPECT_THROW(emb.run_world({bytes.data(), bytes.size()}, 1), rt::Trap);
 }
@@ -343,6 +350,223 @@ TEST(EmbedderModes, NativeAndWasmHpcgResidualsAgree) {
 
   EXPECT_EQ(wasm_residual, native_residual)
       << "CG through the embedder must match native bit-for-bit";
+}
+
+// Runs `bytes` on `ranks` ranks and returns the trap it must raise.
+rt::Trap expect_trap(const std::vector<u8>& bytes, int ranks) {
+  Embedder emb(EmbedderConfig{});
+  try {
+    emb.run_world({bytes.data(), bytes.size()}, ranks);
+  } catch (const rt::Trap& t) {
+    return t;
+  }
+  ADD_FAILURE() << "run did not trap";
+  return rt::Trap(rt::TrapKind::kUnreachable, "no trap");
+}
+
+TEST(EmbedderHandles, BadDatatypeAndOpHandlesKeepTheirTrapMessages) {
+  const rt::Trap dt =
+      expect_trap(build_allreduce_handles_module(999, abi::MPI_SUM), 1);
+  EXPECT_EQ(dt.kind(), rt::TrapKind::kHostError);
+  EXPECT_NE(std::string(dt.what()).find("invalid MPI datatype handle 999"),
+            std::string::npos)
+      << dt.what();
+  const rt::Trap op =
+      expect_trap(build_allreduce_handles_module(abi::MPI_INT, 77), 1);
+  EXPECT_EQ(op.kind(), rt::TrapKind::kHostError);
+  EXPECT_NE(std::string(op.what()).find("invalid MPI op handle 77"),
+            std::string::npos)
+      << op.what();
+}
+
+// Builds a module for a 3-rank world: ranks 0 and 1 split MPI_COMM_WORLD
+// into one communicator, rank 2 passes MPI_UNDEFINED and gets
+// MPI_COMM_NULL. Members check the new handle with an Allreduce over it
+// (group size 2). Rank 2 checks it got MPI_COMM_NULL; with `misuse` it
+// then receives rank 0's handle by an MPI_Bcast over the world and calls
+// MPI_Barrier on it. Every rank exits 0 when its checks hold.
+std::vector<u8> build_split_exclusion_module(bool misuse) {
+  using wasm::Op;
+  wasm::ModuleBuilder b;
+  MpiImportSet set;
+  set.collectives = true;
+  set.comm_mgmt = true;
+  MpiImports mpi = toolchain::declare_mpi_imports(b, set);
+  u32 proc_exit = b.import_func("wasi_snapshot_preview1", "proc_exit",
+                                {{I32}, {}});
+  b.add_memory(1);
+  b.export_memory();
+  auto& f = b.begin_func({{}, {}}, "_start");
+  u32 rank = f.add_local(I32);
+  u32 sub = f.add_local(I32);
+  f.i32_const(0);
+  f.i32_const(0);
+  f.call(mpi.init);
+  f.op(Op::kDrop);
+  f.i32_const(abi::MPI_COMM_WORLD);
+  f.i32_const(1024);
+  f.call(mpi.comm_rank);
+  f.op(Op::kDrop);
+  f.i32_const(1024);
+  f.mem_op(Op::kI32Load);
+  f.local_set(rank);
+  // split(world, color = rank == 2 ? MPI_UNDEFINED : 0, key = rank) -> sub
+  f.i32_const(abi::MPI_COMM_WORLD);
+  f.i32_const(abi::MPI_UNDEFINED);
+  f.i32_const(0);
+  f.local_get(rank);
+  f.i32_const(2);
+  f.op(Op::kI32Eq);
+  f.op(Op::kSelect);
+  f.local_get(rank);
+  f.i32_const(1040);
+  f.call(mpi.comm_split);
+  f.op(Op::kDrop);
+  f.i32_const(1040);
+  f.mem_op(Op::kI32Load);
+  f.local_set(sub);
+  if (misuse) {
+    // Bcast(1040, 1, INT, root 0, world): rank 2 now holds rank 0's handle.
+    f.i32_const(1040);
+    f.i32_const(1);
+    f.i32_const(abi::MPI_INT);
+    f.i32_const(0);
+    f.i32_const(abi::MPI_COMM_WORLD);
+    f.call(mpi.bcast);
+    f.op(Op::kDrop);
+  }
+  f.local_get(rank);
+  f.i32_const(2);
+  f.op(Op::kI32Eq);
+  f.if_();
+  {
+    // Excluded rank: exit(sub != MPI_COMM_NULL), or misuse the handle.
+    if (misuse) {
+      f.i32_const(1040);
+      f.mem_op(Op::kI32Load);
+      f.call(mpi.barrier);
+      f.op(Op::kDrop);
+    }
+    f.local_get(sub);
+    f.i32_const(abi::MPI_COMM_NULL);
+    f.op(Op::kI32Ne);
+    f.call(proc_exit);
+  }
+  f.end();
+  // Members: allreduce(1, SUM) over sub; exit(group size != 2).
+  f.i32_const(2048);
+  f.i32_const(1);
+  f.mem_op(Op::kI32Store);
+  f.i32_const(2048);
+  f.i32_const(2056);
+  f.i32_const(1);
+  f.i32_const(abi::MPI_INT);
+  f.i32_const(abi::MPI_SUM);
+  f.local_get(sub);
+  f.call(mpi.allreduce);
+  f.op(Op::kDrop);
+  f.i32_const(2056);
+  f.mem_op(Op::kI32Load);
+  f.i32_const(2);
+  f.op(Op::kI32Ne);
+  f.call(proc_exit);
+  f.end();
+  return b.build();
+}
+
+TEST_P(EmbedderTest, SplitHandleWorksOnItsMemberRanks) {
+  auto bytes = build_split_exclusion_module(false);
+  Embedder emb(config_for(GetParam()));
+  auto result = emb.run_world({bytes.data(), bytes.size()}, 3);
+  EXPECT_EQ(result.exit_code, 0);
+}
+
+TEST(EmbedderHandles, ExcludedRankTrapsOnAMembersCommHandle) {
+  // Each rank interns only the communicators it belongs to, so the rank
+  // that got MPI_COMM_NULL has no entry for the members' handle.
+  const rt::Trap t = expect_trap(build_split_exclusion_module(true), 3);
+  EXPECT_EQ(t.kind(), rt::TrapKind::kHostError);
+  EXPECT_NE(std::string(t.what()).find("invalid MPI communicator handle"),
+            std::string::npos)
+      << t.what();
+}
+
+TEST(EmbedderHandles, EveryRankRecordsTranslationSamples) {
+  // Each rank translates one datatype per Allreduce; the merged samples
+  // must hold every rank's share.
+  constexpr int kCalls = 5, kRanks = 3;
+  using wasm::Op;
+  wasm::ModuleBuilder b;
+  MpiImportSet set;
+  set.collectives = true;
+  MpiImports mpi = toolchain::declare_mpi_imports(b, set);
+  b.add_memory(1);
+  b.export_memory();
+  auto& f = b.begin_func({{}, {}}, "_start");
+  f.i32_const(0);
+  f.i32_const(0);
+  f.call(mpi.init);
+  f.op(Op::kDrop);
+  for (int k = 0; k < kCalls; ++k) {
+    f.i32_const(1024);
+    f.i32_const(2048);
+    f.i32_const(1);
+    f.i32_const(abi::MPI_DOUBLE);
+    f.i32_const(abi::MPI_SUM);
+    f.i32_const(abi::MPI_COMM_WORLD);
+    f.call(mpi.allreduce);
+    f.op(Op::kDrop);
+  }
+  f.end();
+  auto bytes = b.build();
+  EmbedderConfig cfg;
+  cfg.record_translation = true;
+  Embedder emb(cfg);
+  auto result = emb.run_world({bytes.data(), bytes.size()}, kRanks);
+  EXPECT_EQ(result.exit_code, 0);
+  ASSERT_EQ(result.translation_samples.size(), size_t(kCalls * kRanks));
+  for (const auto& s : result.translation_samples) {
+    EXPECT_EQ(s.wasm_datatype, abi::MPI_DOUBLE);
+    EXPECT_EQ(s.msg_bytes, 8u);
+  }
+}
+
+TEST(EmbedderHandles, ConcurrentSameRankThreadsSplitAndTranslate) {
+  // MPI_THREAD_MULTIPLE: the guest threads of one rank share its Env, so
+  // one thread's MPI_Comm_split interns a handle (write lock) while its
+  // siblings translate (read lock). Each thread splits its own parent
+  // communicator, as MPI requires of concurrent collectives.
+  constexpr int kThreads = 3, kSplits = 20;
+  simmpi::World world(2);
+  world.set_threaded();
+  world.run([&](simmpi::Rank& rank) {
+    embed::Env env(&rank, true, true);
+    std::vector<i32> parents;
+    for (int t = 0; t < kThreads; ++t)
+      parents.push_back(env.intern_comm(rank.comm_dup(simmpi::kCommWorld)));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        simmpi::World::bind_current(&rank);
+        for (int i = 0; i < kSplits; ++i) {
+          const simmpi::Comm parent = env.translate_comm(parents[size_t(t)]);
+          const i32 handle =
+              env.intern_comm(rank.comm_split(parent, 0, rank.rank()));
+          const simmpi::Comm sub = env.translate_comm(handle);
+          int one = 1, sum = 0;
+          rank.allreduce(&one, &sum, 1,
+                         env.translate_datatype(abi::MPI_INT, sizeof(int)),
+                         env.translate_op(abi::MPI_SUM), sub);
+          EXPECT_EQ(sum, 2);
+          rank.comm_free(sub);
+        }
+        simmpi::World::bind_current(nullptr);
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(env.samples().size(), size_t(kThreads * kSplits));
+    for (i32 h : parents) rank.comm_free(env.translate_comm(h));
+  });
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Direct unit tests for LinearMemory (the §3.5 substrate: stable base,
-// bounds semantics, grow) and the embedder's Env/SharedHandleState
+// bounds semantics, grow) and the embedder's Env/HandleTable
 // translation tables (§3.6/§3.7).
 #include "testlib.h"
 
@@ -71,8 +71,8 @@ TEST(LinearMemory, MoveTransfersOwnership) {
   EXPECT_EQ(c.load<u32>(0), 42u);
 }
 
-TEST(SharedHandleState, StaticTablesMatchAbi) {
-  embed::SharedHandleState st;
+TEST(HandleTable, StaticTablesMatchAbi) {
+  embed::HandleTable st;
   EXPECT_EQ(st.lookup_datatype(abi::MPI_BYTE), simmpi::Datatype::kByte);
   EXPECT_EQ(st.lookup_datatype(abi::MPI_DOUBLE), simmpi::Datatype::kDouble);
   EXPECT_EQ(st.lookup_op(abi::MPI_SUM), simmpi::ReduceOp::kSum);
@@ -80,15 +80,15 @@ TEST(SharedHandleState, StaticTablesMatchAbi) {
   EXPECT_EQ(st.lookup_comm(abi::MPI_COMM_WORLD), simmpi::kCommWorld);
 }
 
-TEST(SharedHandleState, InvalidHandlesTrap) {
-  embed::SharedHandleState st;
+TEST(HandleTable, InvalidHandlesTrap) {
+  embed::HandleTable st;
   EXPECT_THROW(st.lookup_datatype(999), rt::Trap);
   EXPECT_THROW(st.lookup_op(-3), rt::Trap);
   EXPECT_THROW(st.lookup_comm(12345), rt::Trap);
 }
 
-TEST(SharedHandleState, InternedCommsResolve) {
-  embed::SharedHandleState st;
+TEST(HandleTable, InternedCommsResolve) {
+  embed::HandleTable st;
   i32 handle = st.intern_comm(7);
   EXPECT_EQ(handle, 7);
   EXPECT_EQ(st.lookup_comm(handle), 7);
@@ -97,8 +97,7 @@ TEST(SharedHandleState, InternedCommsResolve) {
 TEST(Env, RequestTableLifecycle) {
   simmpi::World world(1);
   world.run([&](simmpi::Rank& rank) {
-    auto shared = std::make_shared<embed::SharedHandleState>();
-    embed::Env env(&rank, shared, true, false);
+    embed::Env env(&rank, true, false);
     i32 h1 = env.add_request({});
     i32 h2 = env.add_request({});
     EXPECT_NE(h1, h2);
@@ -113,11 +112,10 @@ TEST(Env, RequestTableLifecycle) {
 TEST(Env, TranslationSamplesOnlyWhenEnabled) {
   simmpi::World world(1);
   world.run([&](simmpi::Rank& rank) {
-    auto shared = std::make_shared<embed::SharedHandleState>();
-    embed::Env off(&rank, shared, true, false);
+    embed::Env off(&rank, true, false);
     off.translate_datatype(abi::MPI_INT, 128);
     EXPECT_TRUE(off.samples().empty());
-    embed::Env on(&rank, shared, true, true);
+    embed::Env on(&rank, true, true);
     on.translate_datatype(abi::MPI_INT, 128);
     on.translate_datatype(abi::MPI_DOUBLE, 4096);
     ASSERT_EQ(on.samples().size(), 2u);

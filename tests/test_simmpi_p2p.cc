@@ -374,7 +374,7 @@ TEST(SimMpiP2P, AbortUnblocksPeerInsideSpin) {
     } else {
       detail::Mailbox& box = r.world().box(0);
       while (true) {
-        std::lock_guard<std::mutex> lock(box.mu);
+        std::lock_guard<detail::SpinMutex> lock(box.mu);
         if (!box.posted.empty()) break;
       }
       r.abort(3);
@@ -384,6 +384,90 @@ TEST(SimMpiP2P, AbortUnblocksPeerInsideSpin) {
   EXPECT_GT(unblocked_ns.load(), 0u);
   EXPECT_LT(unblocked_ns.load(), u64(5'000'000'000));  // far below the watchdog
 }
+
+TEST(SimMpiP2P, AbortUnblocksPeerWaitingForMailboxLock) {
+  // Rank 1 holds rank 0's mailbox lock while rank 0's receive contends for
+  // it, and the abort is raised before the lock is released. The lock
+  // itself never checks the abort flag; rank 0 must see it as soon as it
+  // gets the lock and reaches its wait.
+  World world(2);
+  std::atomic<bool> held{false}, receiving{false};
+  std::atomic<u64> unblocked_ns{0};
+  EXPECT_THROW(world.run([&](Rank& r) {
+    if (r.rank() == 0) {
+      while (!held.load()) std::this_thread::yield();
+      int v;
+      receiving = true;
+      const u64 t0 = now_ns();
+      try {
+        r.recv(&v, 1, Datatype::kInt, 1, 0);
+      } catch (const MpiAbort&) {
+        unblocked_ns = now_ns() - t0;
+        throw;
+      }
+    } else {
+      detail::Mailbox& box = r.world().box(0);
+      std::unique_lock<detail::SpinMutex> hold(box.mu);
+      held = true;
+      while (!receiving.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      // request_abort sets the flag, then takes every mailbox lock to
+      // signal, so it waits on the lock this thread holds.
+      std::thread aborter([&] { r.world().request_abort(3); });
+      while (!r.world().aborting()) std::this_thread::yield();
+      hold.unlock();
+      aborter.join();
+      throw MpiAbort(3);
+    }
+  }),
+               MpiError);
+  EXPECT_GT(unblocked_ns.load(), 0u);
+  EXPECT_LT(unblocked_ns.load(), u64(5'000'000'000));  // far below the watchdog
+}
+
+// Three senders stream sequence-numbered words at rank 0, which matches
+// them with kAnySource: every message must arrive exactly once, and each
+// sender's messages in order (MPI non-overtaking), however the senders'
+// pushes interleave with the receiver under the mailbox lock.
+void any_source_fan_in(bool poll) {
+  constexpr int kSenders = 3;
+  constexpr u32 kMsgs = 20'000;
+  World world(kSenders + 1);
+  world.run([&](Rank& r) {
+    if (r.rank() != 0) {
+      for (u32 k = 0; k < kMsgs; ++k) {
+        const u64 word = u64(r.rank()) << 32 | k;
+        r.send(&word, 1, Datatype::kLongLong, 0, 5);
+      }
+      return;
+    }
+    std::vector<u32> next(kSenders + 1, 0);
+    for (u32 m = 0; m < kSenders * kMsgs; ++m) {
+      u64 word = 0;
+      Status st;
+      if (poll) {
+        Request req = r.irecv(&word, 1, Datatype::kLongLong, kAnySource, 5);
+        while (!r.test(req, &st)) {
+        }
+      } else {
+        st = r.recv(&word, 1, Datatype::kLongLong, kAnySource, 5);
+      }
+      const int src = int(word >> 32);
+      ASSERT_EQ(st.source, src) << "message " << m;
+      ASSERT_GE(src, 1);
+      ASSERT_LE(src, kSenders);
+      ASSERT_EQ(u32(word), next[size_t(src)]) << "from rank " << src;
+      ++next[size_t(src)];
+    }
+    for (int s = 1; s <= kSenders; ++s) EXPECT_EQ(next[size_t(s)], kMsgs);
+    EXPECT_FALSE(r.iprobe(kAnySource, kAnyTag, kCommWorld, nullptr))
+        << "no message may arrive twice";
+  });
+}
+
+TEST(SimMpiP2P, AnySourceFanInBlockingRecv) { any_source_fan_in(false); }
+
+TEST(SimMpiP2P, AnySourceFanInIrecvTestPoll) { any_source_fan_in(true); }
 
 TEST(SimMpiP2P, RendezvousSendWaitsForLateReceiver) {
   // A rendezvous sender blocks until the receiver copies its buffer; a
@@ -423,6 +507,30 @@ TEST(SimMpiP2P, SpinWaitsOnlyWithoutOversubscription) {
   }).join();
 #endif
 }
+
+#if defined(__linux__)
+TEST(SimMpiP2P, OversubscribedExchangesMatch) {
+  // Two ranks pinned to one CPU: blocked waits yield before parking and
+  // contended mailbox locks yield at once. Every exchange must still match.
+  std::thread([] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(sched_getcpu(), &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    World world(2);
+    ASSERT_FALSE(world.spin_waits());
+    world.run([](Rank& r) {
+      const int peer = 1 - r.rank();
+      for (int k = 0; k < 2000; ++k) {
+        int out = 2 * k + r.rank(), in = -1;
+        r.sendrecv(&out, 1, Datatype::kInt, peer, 0, &in, 1, Datatype::kInt,
+                   peer, 0);
+        ASSERT_EQ(in, 2 * k + peer) << "exchange " << k;
+      }
+    });
+  }).join();
+}
+#endif
 
 }  // namespace
 }  // namespace mpiwasm::simmpi
